@@ -24,7 +24,7 @@ from .graph import (
     parse_graph6,
     to_graph6,
 )
-from .harness import HarnessConfig, corpus_up_to, run_corpus
+from .harness import SUMMARY_COLUMNS, HarnessConfig, corpus_up_to, run_corpus
 from .ops import (
     contract_edge,
     contract_vertices,
@@ -36,7 +36,7 @@ from .ops import (
     subdivide,
 )
 from .solver import DEFAULT_BUDGET, chi_dd_exact, chi_dd_oracle
-from .witnesses import extend_witness, reduce_witness
+from .witnesses import EXTEND_KINDS, REDUCE_KINDS, extend_witness, reduce_witness
 
 _OPS = (
     "remove-vertex",
@@ -46,17 +46,7 @@ _OPS = (
     "subdivide",
     "cycle-extend",
 )
-_WITNESS_KINDS = (
-    "add-vertex",
-    "add-edge",
-    "contract-edge",
-    "contract-vertices",
-    "cycle-extend",
-    "remove-vertex",
-    "remove-edge",
-    "uncontract",
-    "remove-hub",
-)
+_WITNESS_KINDS = tuple(kind.replace("_", "-") for kind in EXTEND_KINDS + REDUCE_KINDS)
 
 
 class _UsageError(Exception):
@@ -355,9 +345,7 @@ def _cmd_witness(args, stdin, stdout) -> int:
     except ValueError as exc:
         raise _UsageError(f"bad --params for {args.kind}: {exc}") from None
     kind = args.kind.replace("-", "_")
-    runner = extend_witness if kind in (
-        "add_vertex", "add_edge", "contract_edge", "contract_vertices", "cycle_extend"
-    ) else reduce_witness
+    runner = extend_witness if kind in EXTEND_KINDS else reduce_witness
     exit_code = 0
     rows = []
     for g6, g in _read_graphs(args, stdin):
@@ -449,19 +437,9 @@ def _cmd_verify(args, stdin, stdout, stderr) -> int:
     if args.format == "json":
         print(report.to_json(include_timing=False), file=stdout)
     elif args.format == "csv":
-        print(
-            "theorem,instances,holds,violations,skips,unknowns,"
-            "tight_lower,tight_upper,extend_validated,reduce_gaps",
-            file=stdout,
-        )
+        print(",".join(["theorem", *(name for name, _, _ in SUMMARY_COLUMNS)]), file=stdout)
         for t in sorted(report.per_theorem):
-            s = report.per_theorem[t]
-            print(
-                f"{t},{s['instances']},{s['holds']},{len(s['violations'])},"
-                f"{sum(s['skips'].values())},{s['unknowns']},{s['tight_lower']},"
-                f"{s['tight_upper']},{s['extend_validated']},{sum(s['reduce_gaps'].values())}",
-                file=stdout,
-            )
+            print(",".join(str(x) for x in (t, *report.per_theorem[t].row())), file=stdout)
     else:
         print(report.to_text(include_timing=False), file=stdout)
     print(f"verify: {report.graphs} graphs in {report.elapsed:.2f}s", file=stderr)

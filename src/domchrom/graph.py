@@ -75,12 +75,6 @@ class Graph:
     def min_degree(self) -> int:
         return min(mask.bit_count() for mask in self.adj)
 
-    def neighbors(self, v: int) -> set[int]:
-        return set(iter_bits(self.adj[v]))
-
-    def closed_neighbors(self, v: int) -> set[int]:
-        return set(iter_bits(self.closed[v]))
-
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"vertex pair ({u},{v}) out of range for order {self.n}")
@@ -248,13 +242,14 @@ def is_connected(g: Graph) -> bool:
     return reach == full
 
 
-def cut_vertices(g: Graph) -> set[int]:
-    """Vertices whose removal disconnects ``g`` (lowpoint DFS)."""
+def _lowpoint(g: Graph, caller: str) -> tuple[set[int], set[tuple[int, int]]]:
+    """Cut vertices and bridges (as (u, v) with u < v) from one lowpoint DFS."""
     if not is_connected(g):
-        raise ValueError("cut_vertices requires a connected graph")
+        raise ValueError(f"{caller} requires a connected graph")
     disc = [-1] * g.n
     low = [0] * g.n
     cuts: set[int] = set()
+    bridge_set: set[tuple[int, int]] = set()
     adj = g.adj
     timer = 0
 
@@ -267,43 +262,30 @@ def cut_vertices(g: Graph) -> set[int]:
             if disc[u] == -1:
                 children += 1
                 dfs(u, v)
-                low[v] = min(low[v], low[u])
-                if parent != -1 and low[u] >= disc[v]:
-                    cuts.add(v)
-            elif u != parent:
-                low[v] = min(low[v], disc[u])
+                if low[u] >= disc[v]:  # u's subtree reaches nothing above v
+                    if parent != -1:
+                        cuts.add(v)
+                    if low[u] > disc[v]:
+                        bridge_set.add((v, u) if v < u else (u, v))
+                elif low[u] < low[v]:
+                    low[v] = low[u]
+            elif u != parent and disc[u] < low[v]:
+                low[v] = disc[u]
         if parent == -1 and children >= 2:
             cuts.add(v)
 
     dfs(0, -1)
-    return cuts
+    return cuts, bridge_set
+
+
+def cut_vertices(g: Graph) -> set[int]:
+    """Vertices whose removal disconnects ``g``."""
+    return _lowpoint(g, "cut_vertices")[0]
 
 
 def bridges(g: Graph) -> set[tuple[int, int]]:
     """Edges whose removal disconnects ``g``, as (u, v) pairs with u < v."""
-    if not is_connected(g):
-        raise ValueError("bridges requires a connected graph")
-    disc = [-1] * g.n
-    low = [0] * g.n
-    out: set[tuple[int, int]] = set()
-    adj = g.adj
-    timer = 0
-
-    def dfs(v: int, parent: int) -> None:
-        nonlocal timer
-        disc[v] = low[v] = timer
-        timer += 1
-        for u in iter_bits(adj[v]):
-            if disc[u] == -1:
-                dfs(u, v)
-                low[v] = min(low[v], low[u])
-                if low[u] > disc[v]:
-                    out.add((v, u) if v < u else (u, v))
-            elif u != parent:
-                low[v] = min(low[v], disc[u])
-
-    dfs(0, -1)
-    return out
+    return _lowpoint(g, "bridges")[1]
 
 
 def enumerate_cycles(g: Graph, max_len: int) -> list[CycleSpec]:

@@ -14,8 +14,8 @@ import json
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
-from typing import Iterable, Iterator, Union
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Union
 
 from .graph import (
     Graph,
@@ -78,10 +78,6 @@ class SkippedCheck:
 
 _UNKNOWN = "solver budget exhausted"
 
-# chi_dd results keyed by graph6, shared across a run; insert-only with
-# idempotent values, so concurrent readers are safe.
-_CHI_CACHE: dict[str, SolveResult] = {}
-
 
 def _solve_cached(g: Graph, budget: int, cache: dict[str, SolveResult]) -> SolveResult:
     key = to_graph6(g)
@@ -94,6 +90,135 @@ def _solve_cached(g: Graph, budget: int, cache: dict[str, SolveResult]) -> Solve
     return result
 
 
+# -- the six theorems -------------------------------------------------
+# Table entries reach ops and graph helpers through module globals at
+# call time, never through captured function objects, so rebinding those
+# names (as a tracer does) reaches every call.
+
+
+def _same(instance):
+    return instance
+
+
+class _Spec(NamedTuple):
+    """How one theorem is checked: H = apply(G, instance), lower <= chi_dd(H) <= upper."""
+
+    instances: Callable[[Graph, HarnessConfig], Iterable]  # a corpus run's instance domain
+    label: Callable[[Any], str]
+    hypothesis: Callable[[Graph, Any, HarnessConfig], str | None]  # skip reason; raises if malformed
+    apply: Callable[[Graph, Any], Graph]
+    bounds: Callable[[int, Graph, Any], tuple[int, int]]  # given chi_dd(G)
+    # (extend, reduce) as (witness kind, "G" or "H": whose coloring it starts from)
+    witnesses: tuple[tuple[str, str], tuple[str, str]] | None = None
+    canon: Callable[[Any], Any] = _same  # the instance as the fields above take it
+
+
+def _pair(instance) -> tuple[int, int]:
+    u, v = sorted(instance)
+    return u, v
+
+
+def _edge_label(e: tuple[int, int]) -> str:
+    return f"e={e[0]}-{e[1]}"
+
+
+def _require_edge(g: Graph, e: tuple[int, int], config: HarnessConfig | None = None) -> None:
+    if not g.has_edge(*e):
+        raise ValueError(f"({e[0]},{e[1]}) is not an edge")
+
+
+def _removable_vertex(g: Graph, v: int, config: HarnessConfig) -> str | None:
+    if g.n < 2:
+        return "order 1"
+    return "cut vertex" if v in cut_vertices(g) else None
+
+
+def _removable_edge(g: Graph, e: tuple[int, int], config: HarnessConfig) -> str | None:
+    _require_edge(g, e)
+    return "bridge" if e in bridges(g) else None
+
+
+def _contractible_pair(g: Graph, e: tuple[int, int], config: HarnessConfig) -> str | None:
+    if e[0] == e[1]:
+        raise ValueError("cannot contract a vertex with itself")
+    return "adjacent pair" if g.has_edge(*e) else None
+
+
+def _subdividable(g: Graph, k: int, config: HarnessConfig) -> str | None:
+    if k < 2:
+        return "k < 2"
+    if g.m == 0:
+        return "no edges"
+    order = g.n + g.m * (k - 1)
+    return f"subdivided order {order} above cap" if order > config.subdivided_cap else None
+
+
+def _cycles(g: Graph, config: HarnessConfig) -> list:
+    cap = min(g.n, config.cycle_cap)
+    return enumerate_cycles(g, cap) if cap >= 3 else []
+
+
+_SPECS = {
+    1: _Spec(
+        instances=lambda g, config: range(g.n),
+        label=lambda v: f"v={v}",
+        hypothesis=_removable_vertex,
+        apply=lambda g, v: remove_vertex(g, v),
+        bounds=lambda chi, g, v: (chi - 1, chi + g.degree(v) - 1),
+        witnesses=(("add_vertex", "H"), ("remove_vertex", "G")),
+    ),
+    2: _Spec(
+        instances=lambda g, config: g.edges(),
+        label=_edge_label,
+        hypothesis=_removable_edge,
+        apply=lambda g, e: remove_edge(g, e),
+        bounds=lambda chi, g, e: (chi - 1, chi + 2),
+        witnesses=(("add_edge", "H"), ("remove_edge", "G")),
+        canon=_pair,
+    ),
+    3: _Spec(
+        instances=lambda g, config: g.edges(),
+        label=_edge_label,
+        hypothesis=_require_edge,
+        apply=lambda g, e: contract_edge(g, e),
+        bounds=lambda chi, g, e: (chi - 2, chi + 1),
+        witnesses=(("contract_edge", "G"), ("uncontract", "H")),
+        canon=_pair,
+    ),
+    4: _Spec(
+        instances=lambda g, config: [(u, v) for v in range(g.n) for u in range(v) if not (g.adj[u] >> v) & 1],
+        label=lambda e: f"uv={e[0]}-{e[1]}",
+        hypothesis=_contractible_pair,
+        apply=lambda g, e: contract_vertices(g, *e),
+        bounds=lambda chi, g, e: (chi - 2, chi + 1),
+        witnesses=(("contract_vertices", "G"), ("uncontract", "H")),
+        canon=_pair,
+    ),
+    5: _Spec(
+        instances=lambda g, config: config.k_values,
+        label=lambda k: f"k={k}",
+        hypothesis=_subdividable,
+        apply=lambda g, k: subdivide(g, k)[0],
+        bounds=lambda chi, g, k: (path_chi_dd(k + 1), (g.m - 1) * path_chi_dd(k) + path_chi_dd(k + 1)),
+    ),
+    6: _Spec(
+        instances=_cycles,
+        label=lambda cyc: "C=" + "-".join(str(v) for v in cyc.vertices),
+        hypothesis=lambda g, cyc, config: cyc.validate(g),
+        apply=lambda g, cyc: cycle_extend(g, cyc),
+        bounds=lambda chi, g, cyc: (chi - cyc.length, chi + 1),
+        witnesses=(("cycle_extend", "G"), ("remove_hub", "H")),
+    ),
+}
+
+
+def _spec(theorem: int) -> _Spec:
+    spec = _SPECS.get(theorem)
+    if spec is None:
+        raise ValueError(f"unknown theorem id {theorem}; expected 1..6")
+    return spec
+
+
 def check_theorem(
     theorem: int,
     g: Graph,
@@ -102,238 +227,126 @@ def check_theorem(
     config: HarnessConfig | None = None,
     cache: dict[str, SolveResult] | None = None,
 ) -> Union[TheoremCheck, SkippedCheck]:
-    """Verify one theorem instance; hypothesis violations come back as skips."""
+    """Verify one theorem instance; hypothesis violations come back as skips.
+
+    ``cache`` maps graph6 to exact solves and may be shared across calls;
+    without one, the call solves from scratch.
+    """
+    spec = _spec(theorem)
     config = config or HarnessConfig()
-    cache = _CHI_CACHE if cache is None else cache
+    cache = {} if cache is None else cache
     g6 = to_graph6(g)
-    budget = config.budget
-
-    if theorem == 1:
-        v = instance
-        label = f"v={v}"
-        if g.n < 2:
-            return SkippedCheck(1, g6, label, "order 1")
-        if v in cut_vertices(g):
-            return SkippedCheck(1, g6, label, "cut vertex")
-        before = _solve_cached(g, budget, cache)
-        if before.status != "exact":
-            return SkippedCheck(1, g6, label, _UNKNOWN)
-        target = remove_vertex(g, v)
-        after = _solve_cached(target, budget, cache)
-        if after.status != "exact":
-            return SkippedCheck(1, g6, label, _UNKNOWN)
-        lower = before.chi_dd - 1
-        upper = before.chi_dd + g.degree(v) - 1
-        ext = red = case = None
-        if config.witnesses:
-            ext_out = extend_witness("add_vertex", g, v, after.witness)
-            red_out = reduce_witness("remove_vertex", g, v, before.witness)
-            ext, red, case = ext_out.status, red_out.status, red_out.case
-        return TheoremCheck(
-            1, g6, label, before.chi_dd, after.chi_dd, lower, upper,
-            lower <= after.chi_dd <= upper, ext, red, case,
-        )
-
-    if theorem == 2:
-        u, v = sorted(instance)
-        label = f"e={u}-{v}"
-        if not g.has_edge(u, v):
-            raise ValueError(f"({u},{v}) is not an edge")
-        if (u, v) in bridges(g):
-            return SkippedCheck(2, g6, label, "bridge")
-        before = _solve_cached(g, budget, cache)
-        if before.status != "exact":
-            return SkippedCheck(2, g6, label, _UNKNOWN)
-        target = remove_edge(g, (u, v))
-        after = _solve_cached(target, budget, cache)
-        if after.status != "exact":
-            return SkippedCheck(2, g6, label, _UNKNOWN)
-        lower = before.chi_dd - 1
-        upper = before.chi_dd + 2
-        ext = red = case = None
-        if config.witnesses:
-            ext_out = extend_witness("add_edge", g, (u, v), after.witness)
-            red_out = reduce_witness("remove_edge", g, (u, v), before.witness)
-            ext, red, case = ext_out.status, red_out.status, red_out.case
-        return TheoremCheck(
-            2, g6, label, before.chi_dd, after.chi_dd, lower, upper,
-            lower <= after.chi_dd <= upper, ext, red, case,
-        )
-
-    if theorem in (3, 4):
-        u, v = sorted(instance)
-        if theorem == 3:
-            label = f"e={u}-{v}"
-            if not g.has_edge(u, v):
-                raise ValueError(f"({u},{v}) is not an edge")
-            target = contract_edge(g, (u, v))
-        else:
-            label = f"uv={u}-{v}"
-            if g.has_edge(u, v):
-                return SkippedCheck(4, g6, label, "adjacent pair")
-            target = contract_vertices(g, u, v)
-        before = _solve_cached(g, budget, cache)
-        if before.status != "exact":
-            return SkippedCheck(theorem, g6, label, _UNKNOWN)
-        after = _solve_cached(target, budget, cache)
-        if after.status != "exact":
-            return SkippedCheck(theorem, g6, label, _UNKNOWN)
-        lower = before.chi_dd - 2
-        upper = before.chi_dd + 1
-        ext = red = case = None
-        if config.witnesses:
-            kind = "contract_edge" if theorem == 3 else "contract_vertices"
-            ext_out = extend_witness(kind, g, (u, v), before.witness)
-            red_out = reduce_witness("uncontract", g, (u, v), after.witness)
-            ext, red, case = ext_out.status, red_out.status, red_out.case
-        return TheoremCheck(
-            theorem, g6, label, before.chi_dd, after.chi_dd, lower, upper,
-            lower <= after.chi_dd <= upper, ext, red, case,
-        )
-
-    if theorem == 5:
-        k = instance
-        label = f"k={k}"
-        if k < 2:
-            return SkippedCheck(5, g6, label, "k < 2")
-        if g.m == 0:
-            return SkippedCheck(5, g6, label, "no edges")
-        order = g.n + g.m * (k - 1)
-        if order > config.subdivided_cap:
-            return SkippedCheck(5, g6, label, f"subdivided order {order} above cap")
-        before = _solve_cached(g, budget, cache)
-        if before.status != "exact":
-            return SkippedCheck(5, g6, label, _UNKNOWN)
-        target, _ = subdivide(g, k)
-        after = _solve_cached(target, budget, cache)
-        if after.status != "exact":
-            return SkippedCheck(5, g6, label, _UNKNOWN)
-        if target.n <= ORACLE_MAX_ORDER:
-            assert after.chi_dd == chi_dd_oracle(target), "solver disagrees with oracle"
-        lower = path_chi_dd(k + 1)
-        upper = (g.m - 1) * path_chi_dd(k) + path_chi_dd(k + 1)
-        return TheoremCheck(
-            5, g6, label, before.chi_dd, after.chi_dd, lower, upper,
-            lower <= after.chi_dd <= upper,
-        )
-
-    if theorem == 6:
-        cyc = instance
-        cyc.validate(g)
-        label = "C=" + "-".join(str(v) for v in cyc.vertices)
-        before = _solve_cached(g, budget, cache)
-        if before.status != "exact":
-            return SkippedCheck(6, g6, label, _UNKNOWN)
-        target = cycle_extend(g, cyc)
-        after = _solve_cached(target, budget, cache)
-        if after.status != "exact":
-            return SkippedCheck(6, g6, label, _UNKNOWN)
-        lower = before.chi_dd - cyc.length
-        upper = before.chi_dd + 1
-        ext = red = case = None
-        if config.witnesses:
-            ext_out = extend_witness("cycle_extend", g, cyc, before.witness)
-            red_out = reduce_witness("remove_hub", g, cyc, after.witness)
-            ext, red, case = ext_out.status, red_out.status, red_out.case
-        return TheoremCheck(
-            6, g6, label, before.chi_dd, after.chi_dd, lower, upper,
-            lower <= after.chi_dd <= upper, ext, red, case,
-        )
-
-    raise ValueError(f"unknown theorem id {theorem}; expected 1..6")
+    instance = spec.canon(instance)
+    label = spec.label(instance)
+    reason = spec.hypothesis(g, instance, config)
+    if reason is not None:
+        return SkippedCheck(theorem, g6, label, reason)
+    before = _solve_cached(g, config.budget, cache)
+    if before.status != "exact":
+        return SkippedCheck(theorem, g6, label, _UNKNOWN)
+    target = spec.apply(g, instance)
+    after = _solve_cached(target, config.budget, cache)
+    if after.status != "exact":
+        return SkippedCheck(theorem, g6, label, _UNKNOWN)
+    if theorem == 5 and target.n <= ORACLE_MAX_ORDER and after.chi_dd != chi_dd_oracle(target):
+        raise RuntimeError(f"solver's chi_dd={after.chi_dd} disagrees with oracle on {to_graph6(target)}")
+    lower, upper = spec.bounds(before.chi_dd, g, instance)
+    ext = red = case = None
+    if config.witnesses and spec.witnesses is not None:
+        base = {"G": before.witness, "H": after.witness}
+        (ext_kind, ext_side), (red_kind, red_side) = spec.witnesses
+        ext = extend_witness(ext_kind, g, instance, base[ext_side]).status
+        red_out = reduce_witness(red_kind, g, instance, base[red_side])
+        red, case = red_out.status, red_out.case
+    return TheoremCheck(
+        theorem, g6, label, before.chi_dd, after.chi_dd, lower, upper,
+        lower <= after.chi_dd <= upper, ext, red, case,
+    )
 
 
 def theorem_instances(theorem: int, g: Graph, config: HarnessConfig) -> Iterator:
     """The combinatorial instance domain a corpus run enumerates."""
-    if theorem == 1:
-        yield from range(g.n)
-    elif theorem in (2, 3):
-        yield from g.edges()
-    elif theorem == 4:
-        for v in range(g.n):
-            for u in range(v):
-                if not (g.adj[u] >> v) & 1:
-                    yield (u, v)
-    elif theorem == 5:
-        yield from config.k_values
-    elif theorem == 6:
-        cap = min(g.n, config.cycle_cap)
-        if cap >= 3:
-            yield from enumerate_cycles(g, cap)
-    else:
-        raise ValueError(f"unknown theorem id {theorem}")
+    return iter(_spec(theorem).instances(g, config))
 
 
-def _new_stats() -> dict:
-    return {
-        "instances": 0,
-        "holds": 0,
-        "violations": [],
-        "skips": Counter(),
-        "unknowns": 0,
-        "tight_lower": 0,
-        "tight_upper": 0,
-        "extend_validated": 0,
-        "extend_gaps": [],
-        "reduce_cases": Counter(),
-        "reduce_gaps": Counter(),
-        "gap_examples": [],
-    }
+# -- per-theorem stats ------------------------------------------------
+
+# The per-theorem summary row: (csv column, text column, text width).
+SUMMARY_COLUMNS = (
+    ("instances", "instances", 9), ("holds", "holds", 9), ("violations", "viol", 5),
+    ("skips", "skips", 6), ("unknowns", "unk", 4), ("tight_lower", "tight_lo", 8),
+    ("tight_upper", "tight_up", 8), ("extend_validated", "ext_ok", 7), ("reduce_gaps", "red_gaps", 8),
+)
 
 
-def _graph_summary(g: Graph, config: HarnessConfig) -> dict[int, dict]:
-    summary = {t: _new_stats() for t in config.theorems}
-    for theorem in config.theorems:
-        stats = summary[theorem]
-        for instance in theorem_instances(theorem, g, config):
-            outcome = check_theorem(theorem, g, instance, config=config)
-            if isinstance(outcome, SkippedCheck):
-                stats["skips"][outcome.reason] += 1
-                if outcome.reason == _UNKNOWN:
-                    stats["unknowns"] += 1
-                continue
-            stats["instances"] += 1
-            if outcome.holds:
-                stats["holds"] += 1
-            else:
-                stats["violations"].append(outcome)
-            if outcome.chi_after == outcome.lower:
-                stats["tight_lower"] += 1
-            if outcome.chi_after == outcome.upper:
-                stats["tight_upper"] += 1
-            if outcome.witness_extend is not None:
-                if outcome.witness_extend == "validated":
-                    stats["extend_validated"] += 1
-                else:
-                    stats["extend_gaps"].append((outcome.graph6, outcome.instance))
-            if outcome.witness_reduce is not None:
-                stats["reduce_cases"][outcome.reduce_case] += 1
-                if outcome.witness_reduce == "gap":
-                    stats["reduce_gaps"][outcome.reduce_case] += 1
-                    stats["gap_examples"].append(
-                        (outcome.reduce_case, outcome.graph6, outcome.instance)
-                    )
-    return summary
+def _check_order(c: TheoremCheck) -> tuple:
+    return (c.graph6, c.theorem, c.instance)
 
 
-def _merge_stats(into: dict, part: dict) -> None:
-    into["instances"] += part["instances"]
-    into["holds"] += part["holds"]
-    into["violations"].extend(part["violations"])
-    into["skips"].update(part["skips"])
-    into["unknowns"] += part["unknowns"]
-    into["tight_lower"] += part["tight_lower"]
-    into["tight_upper"] += part["tight_upper"]
-    into["extend_validated"] += part["extend_validated"]
-    into["extend_gaps"].extend(part["extend_gaps"])
-    into["reduce_cases"].update(part["reduce_cases"])
-    into["reduce_gaps"].update(part["reduce_gaps"])
-    into["gap_examples"].extend(part["gap_examples"])
+@dataclass
+class TheoremStats:
+    """Counts and retained findings of one theorem over a corpus."""
 
+    instances: int = 0
+    holds: int = 0
+    violations: list[TheoremCheck] = field(default_factory=list)
+    skips: Counter = field(default_factory=Counter)
+    unknowns: int = 0
+    tight_lower: int = 0
+    tight_upper: int = 0
+    extend_validated: int = 0
+    extend_gaps: list[tuple[str, str]] = field(default_factory=list)
+    reduce_cases: Counter = field(default_factory=Counter)
+    reduce_gaps: Counter = field(default_factory=Counter)
+    gap_examples: list[tuple[str, str, str]] = field(default_factory=list)
 
-def _process_graph(task: tuple[str, HarnessConfig]) -> dict[int, dict]:
-    g6, config = task
-    return _graph_summary(parse_graph6(g6), config)
+    def add(self, outcome: Union[TheoremCheck, SkippedCheck]) -> None:
+        if isinstance(outcome, SkippedCheck):
+            self.skips[outcome.reason] += 1
+            self.unknowns += outcome.reason == _UNKNOWN
+            return
+        self.instances += 1
+        if outcome.holds:
+            self.holds += 1
+        else:
+            self.violations.append(outcome)
+        self.tight_lower += outcome.chi_after == outcome.lower
+        self.tight_upper += outcome.chi_after == outcome.upper
+        if outcome.witness_extend == "validated":
+            self.extend_validated += 1
+        elif outcome.witness_extend is not None:
+            self.extend_gaps.append((outcome.graph6, outcome.instance))
+        if outcome.witness_reduce is not None:
+            self.reduce_cases[outcome.reduce_case] += 1
+            if outcome.witness_reduce == "gap":
+                self.reduce_gaps[outcome.reduce_case] += 1
+                self.gap_examples.append((outcome.reduce_case, outcome.graph6, outcome.instance))
+
+    def merge(self, other: TheoremStats) -> None:
+        for f in fields(self):
+            total = getattr(self, f.name)
+            total += getattr(other, f.name)  # ints add, lists extend, Counters (all positive) sum
+            setattr(self, f.name, total)
+
+    def finalize(self) -> None:
+        """Sort what is retained and cap the examples, so merge order cannot show."""
+        self.violations.sort(key=_check_order)
+        self.extend_gaps = sorted(self.extend_gaps)[:GAP_EXAMPLE_CAP]
+        per_case: Counter = Counter()
+        kept = []
+        for item in sorted(self.gap_examples):
+            if per_case[item[0]] < GAP_EXAMPLE_CAP:
+                per_case[item[0]] += 1
+                kept.append(item)
+        self.gap_examples = kept
+
+    def row(self) -> tuple[int, ...]:
+        """The values of :data:`SUMMARY_COLUMNS`, in order."""
+        return (
+            self.instances, self.holds, len(self.violations), sum(self.skips.values()),
+            self.unknowns, self.tight_lower, self.tight_upper, self.extend_validated,
+            sum(self.reduce_gaps.values()),
+        )
 
 
 @dataclass
@@ -343,16 +356,16 @@ class CorpusReport:
     corpus: str
     config: HarnessConfig
     graphs: int
-    per_theorem: dict[int, dict]
+    per_theorem: dict[int, TheoremStats]
     elapsed: float = field(default=0.0)
 
     @property
     def violation_count(self) -> int:
-        return sum(len(s["violations"]) for s in self.per_theorem.values())
+        return sum(len(s.violations) for s in self.per_theorem.values())
 
     @property
     def unknown_count(self) -> int:
-        return sum(s["unknowns"] for s in self.per_theorem.values())
+        return sum(s.unknowns for s in self.per_theorem.values())
 
     @property
     def ok(self) -> bool:
@@ -363,23 +376,23 @@ class CorpusReport:
         for t in sorted(self.per_theorem):
             s = self.per_theorem[t]
             reduce_stats = {
-                case: {"count": s["reduce_cases"][case], "gaps": s["reduce_gaps"].get(case, 0)}
-                for case in sorted(s["reduce_cases"])
+                case: {"count": s.reduce_cases[case], "gaps": s.reduce_gaps.get(case, 0)}
+                for case in sorted(s.reduce_cases)
             }
             per_theorem[str(t)] = {
-                "instances": s["instances"],
-                "holds": s["holds"],
-                "violations": len(s["violations"]),
-                "skips": dict(sorted(s["skips"].items())),
-                "unknowns": s["unknowns"],
-                "tight_lower": s["tight_lower"],
-                "tight_upper": s["tight_upper"],
+                "instances": s.instances,
+                "holds": s.holds,
+                "violations": len(s.violations),
+                "skips": dict(sorted(s.skips.items())),
+                "unknowns": s.unknowns,
+                "tight_lower": s.tight_lower,
+                "tight_upper": s.tight_upper,
                 "witness": {
-                    "extend_validated": s["extend_validated"],
-                    "extend_gaps": len(s["extend_gaps"]),
+                    "extend_validated": s.extend_validated,
+                    "extend_gaps": len(s.extend_gaps),
                     "reduce": reduce_stats,
                     "gap_examples": [
-                        f"{case} {g6} {inst}" for case, g6, inst in s["gap_examples"]
+                        f"{case} {g6} {inst}" for case, g6, inst in s.gap_examples
                     ],
                 },
             }
@@ -401,10 +414,8 @@ class CorpusReport:
         return payload
 
     def all_violations(self) -> list[TheoremCheck]:
-        out = []
-        for t in sorted(self.per_theorem):
-            out.extend(self.per_theorem[t]["violations"])
-        return sorted(out, key=lambda c: (c.graph6, c.theorem, c.instance))
+        out = [v for s in self.per_theorem.values() for v in s.violations]
+        return sorted(out, key=_check_order)
 
     def to_json(self, include_timing: bool = False) -> str:
         return json.dumps(self.to_payload(include_timing), indent=2, sort_keys=True)
@@ -416,16 +427,12 @@ class CorpusReport:
             f"   k: {','.join(str(k) for k in self.config.k_values)}"
             f"   cycle cap: {self.config.cycle_cap}",
             "",
-            f"{'thm':>3} {'instances':>9} {'holds':>9} {'viol':>5} {'skips':>6} "
-            f"{'unk':>4} {'tight_lo':>8} {'tight_up':>8} {'ext_ok':>7} {'red_gaps':>8}",
+            " ".join([f"{'thm':>3}", *(f"{head:>{w}}" for _, head, w in SUMMARY_COLUMNS)]),
         ]
         for t in sorted(self.per_theorem):
-            s = self.per_theorem[t]
+            row = self.per_theorem[t].row()
             lines.append(
-                f"{t:>3} {s['instances']:>9} {s['holds']:>9} {len(s['violations']):>5} "
-                f"{sum(s['skips'].values()):>6} {s['unknowns']:>4} "
-                f"{s['tight_lower']:>8} {s['tight_upper']:>8} "
-                f"{s['extend_validated']:>7} {sum(s['reduce_gaps'].values()):>8}"
+                " ".join([f"{t:>3}", *(f"{x:>{w}}" for x, (_, _, w) in zip(row, SUMMARY_COLUMNS))])
             )
         for v in self.all_violations():
             lines.append(
@@ -442,19 +449,31 @@ class CorpusReport:
         return "\n".join(lines)
 
 
-def _finalize(stats: dict[int, dict]) -> None:
-    for s in stats.values():
-        s["violations"] = sorted(
-            s["violations"], key=lambda c: (c.graph6, c.theorem, c.instance)
-        )
-        s["extend_gaps"] = sorted(s["extend_gaps"])[:GAP_EXAMPLE_CAP]
-        per_case: Counter = Counter()
-        kept = []
-        for item in sorted(s["gap_examples"]):
-            if per_case[item[0]] < GAP_EXAMPLE_CAP:
-                per_case[item[0]] += 1
-                kept.append(item)
-        s["gap_examples"] = kept
+# -- corpus runs ------------------------------------------------------
+
+
+def _check_graph(
+    g: Graph, config: HarnessConfig, cache: dict[str, SolveResult], stats: dict[int, TheoremStats]
+) -> None:
+    for theorem in config.theorems:
+        for instance in theorem_instances(theorem, g, config):
+            stats[theorem].add(check_theorem(theorem, g, instance, config=config, cache=cache))
+
+
+# Set in each worker process by _init_worker; lives as long as the pool.
+_worker_cache: dict[str, SolveResult] | None = None
+
+
+def _init_worker() -> None:
+    global _worker_cache
+    _worker_cache = {}
+
+
+def _process_graph(task: tuple[str, HarnessConfig]) -> dict[int, TheoremStats]:
+    g6, config = task
+    stats = {t: TheoremStats() for t in config.theorems}
+    _check_graph(parse_graph6(g6), config, _worker_cache, stats)
+    return stats
 
 
 def run_corpus(
@@ -466,26 +485,28 @@ def run_corpus(
 
     The report is independent of worker scheduling: the accumulator only
     merges commutative counts, and all retained lists are sorted at the
-    end by (graph6, theorem, instance).
+    end by (graph6, theorem, instance).  Solves are cached for this call
+    only (one cache per worker process), so a report never depends on
+    what ran before it.
     """
     config = config or HarnessConfig()
     start = time.perf_counter()
-    stats = {t: _new_stats() for t in config.theorems}
+    stats = {t: TheoremStats() for t in config.theorems}
     count = 0
     if config.workers > 1:
         tasks = [(to_graph6(g), config) for g in graphs]
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for summary in pool.map(_process_graph, tasks, chunksize=32):
+        with ProcessPoolExecutor(max_workers=config.workers, initializer=_init_worker) as pool:
+            for part in pool.map(_process_graph, tasks, chunksize=32):
                 count += 1
-                for t in config.theorems:
-                    _merge_stats(stats[t], summary[t])
+                for t, s in part.items():
+                    stats[t].merge(s)
     else:
+        cache: dict[str, SolveResult] = {}
         for g in graphs:
             count += 1
-            summary = _graph_summary(g, config)
-            for t in config.theorems:
-                _merge_stats(stats[t], summary[t])
-    _finalize(stats)
+            _check_graph(g, config, cache, stats)
+    for s in stats.values():
+        s.finalize()
     return CorpusReport(
         corpus=descriptor,
         config=config,

@@ -96,12 +96,10 @@ class SubdivisionMap:
     """
 
     path_length: int
-    base_vertex_map: tuple[int, ...]
     superedges: dict[tuple[int, int], tuple[int, ...]]
 
     def internal_vertices(self) -> set[int]:
-        base = set(self.base_vertex_map)
-        return {x for path in self.superedges.values() for x in path if x not in base}
+        return {x for path in self.superedges.values() for x in path[1:-1]}
 
 
 def subdivide(g: Graph, k: int) -> tuple[Graph, SubdivisionMap]:
@@ -123,8 +121,7 @@ def subdivide(g: Graph, k: int) -> tuple[Graph, SubdivisionMap]:
             masks[a] |= 1 << b
             masks[b] |= 1 << a
         superedges[(u, v)] = tuple(path)
-    smap = SubdivisionMap(k, tuple(range(g.n)), superedges)
-    return Graph(n2, masks), smap
+    return Graph(n2, masks), SubdivisionMap(k, superedges)
 
 
 def cycle_extend(g: Graph, c: CycleSpec) -> Graph:

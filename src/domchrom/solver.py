@@ -181,6 +181,15 @@ def _search(g: Graph, k: int, budget: int) -> tuple[tuple[int, ...] | None, int]
     return (tuple(assignment) if found else None, nodes)
 
 
+def _checked_witness(g: Graph, assignment: tuple[int, ...], k: int) -> Coloring:
+    """The searcher's assignment as a Coloring, re-checked against the definition."""
+    witness = Coloring(assignment)
+    ok, diag = is_domination_coloring(g, witness)
+    if not ok or witness.class_count != k:
+        raise RuntimeError(f"searcher returned an invalid coloring for k={k}: {witness.to_text()} {diag}")
+    return witness
+
+
 def find_domination_coloring(
     g: Graph, k: int, budget: int = DEFAULT_BUDGET
 ) -> Coloring | None:
@@ -195,11 +204,7 @@ def find_domination_coloring(
     assignment, _ = _search(g, k, budget)
     if assignment is None:
         return None
-    witness = Coloring(assignment)
-    ok, diag = is_domination_coloring(g, witness)
-    assert ok, f"searcher returned an invalid coloring: {diag}"
-    assert witness.class_count == k
-    return witness
+    return _checked_witness(g, assignment, k)
 
 
 def chi_dd_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
@@ -223,12 +228,9 @@ def chi_dd_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
             )
         total += used
         if assignment is not None:
-            witness = Coloring(assignment)
-            ok, diag = is_domination_coloring(g, witness)
-            assert ok, f"searcher returned an invalid coloring: {diag}"
             return SolveResult(
                 chi_dd=k,
-                witness=witness,
+                witness=_checked_witness(g, assignment, k),
                 status="exact",
                 lower=k,
                 upper=k,
@@ -296,6 +298,7 @@ def path_chi_dd(k: int, cache: dict[int, int] | None = None) -> int:
     value = memo.get(k)
     if value is None:
         result = chi_dd_exact(make_named("path", k))
-        assert result.chi_dd is not None
+        if result.chi_dd is None:
+            raise RuntimeError(f"chi_dd of the path on {k} vertices is undecided: {result.status}")
         value = memo[k] = result.chi_dd
     return value

@@ -1,15 +1,14 @@
 """Acceptance suite: every criterion at its stated tolerance, one
 pass/fail line each (run with ``pytest -s`` to see the lines live).
 
-The corpus sweeps share one chi_dd cache, so ordering matters for wall
-time: the oracle-equivalence sweep warms the cache for everything else.
+Each corpus run solves through a chi_dd cache of its own, so the
+criteria are independent of the order they run in.
 """
 
 import time
 
 import pytest
 
-import domchrom.harness as harness
 from domchrom.graph import (
     CycleSpec,
     enumerate_connected_graphs,
@@ -39,9 +38,9 @@ def _gap_summary(report) -> str:
     parts = []
     for t in sorted(report.per_theorem):
         s = report.per_theorem[t]
-        for case in sorted(s["reduce_cases"]):
-            total = s["reduce_cases"][case]
-            gaps = s["reduce_gaps"].get(case, 0)
+        for case in sorted(s.reduce_cases):
+            total = s.reduce_cases[case]
+            gaps = s.reduce_gaps.get(case, 0)
             if total:
                 parts.append(f"thm{t}/{case}: {gaps}/{total}")
     return "reduce gaps " + ", ".join(parts) if parts else "no reduce runs"
@@ -56,7 +55,6 @@ def test_criterion_1_oracle_equivalence(corpus_by_n):
         for g in corpus_by_n[n]:
             count += 1
             result = chi_dd_exact(g)
-            harness._CHI_CACHE.setdefault(to_graph6(g), result)
             if result.chi_dd != chi_dd_oracle(g):
                 mismatches.append(to_graph6(g))
     elapsed = time.perf_counter() - start
@@ -70,7 +68,7 @@ def test_criterion_1_oracle_equivalence(corpus_by_n):
 def test_criterion_2_removal_theorems(corpus_by_n):
     graphs = [g for n in range(2, 7) for g in corpus_by_n[n]]
     report = run_corpus(graphs, HarnessConfig(theorems=(1, 2)), "connected 2<=n<=6")
-    checked = sum(report.per_theorem[t]["instances"] for t in (1, 2))
+    checked = sum(report.per_theorem[t].instances for t in (1, 2))
     _verdict(
         "2 vertex/edge removal bounds",
         report.violation_count == 0 and report.unknown_count == 0,
@@ -81,7 +79,7 @@ def test_criterion_2_removal_theorems(corpus_by_n):
 def test_criterion_3_contraction_theorems(corpus_by_n):
     graphs = [g for n in range(2, 7) for g in corpus_by_n[n]]
     report = run_corpus(graphs, HarnessConfig(theorems=(3, 4)), "connected 2<=n<=6")
-    checked = sum(report.per_theorem[t]["instances"] for t in (3, 4))
+    checked = sum(report.per_theorem[t].instances for t in (3, 4))
     _verdict(
         "3 contraction bounds",
         report.violation_count == 0 and report.unknown_count == 0,
@@ -102,7 +100,7 @@ def test_criterion_4_subdivision_theorem(corpus_by_n):
     _verdict(
         "4 subdivision bounds",
         report.violation_count == 0 and report.unknown_count == 0 and elapsed < 600,
-        f"{stats['instances']} instances over {len(graphs)} graphs, "
+        f"{stats.instances} instances over {len(graphs)} graphs, "
         f"{report.violation_count} violations, {elapsed:.1f}s (< 600s)",
     )
 
@@ -114,7 +112,7 @@ def test_criterion_5_cycle_extension_theorem(corpus_by_n):
     _verdict(
         "5 cycle-extension bounds",
         report.violation_count == 0 and report.unknown_count == 0,
-        f"{stats['instances']} cycles, {report.violation_count} violations; "
+        f"{stats.instances} cycles, {report.violation_count} violations; "
         f"{_gap_summary(report)}",
     )
 
@@ -129,8 +127,8 @@ def test_criterion_6_witnesses(corpus_by_n):
     budget_breaches = 0
     for t in (1, 2, 3, 4, 6):
         s = report.per_theorem[t]
-        extend_total += s["extend_validated"] + len(s["extend_gaps"])
-        extend_gaps += len(s["extend_gaps"])
+        extend_total += s.extend_validated + len(s.extend_gaps)
+        extend_gaps += len(s.extend_gaps)
     # validated reduce outcomes respect their budgets by construction;
     # re-verify the arithmetic on one theorem directly
     for g in corpus_by_n[4]:

@@ -183,8 +183,7 @@ def test_verify_usage_errors():
     assert code == 2
 
 
-def test_verify_budget_exhaustion_exit_3(monkeypatch):
-    monkeypatch.setattr("domchrom.harness._CHI_CACHE", {})
+def test_verify_budget_exhaustion_exit_3():
     code, _, _ = run_cli(
         ["verify", "--n-max", "3", "--theorems", "1", "--budget", "1"]
     )

@@ -80,9 +80,9 @@ def test_run_corpus_n3_theorem3_all_hold():
     )
     stats = report.per_theorem[3]
     assert report.graphs == 4
-    assert stats["instances"] == 3 * 2 + 3  # three paths with 2 edges, K_3 with 3
-    assert stats["holds"] == stats["instances"]
-    assert not stats["violations"]
+    assert stats.instances == 3 * 2 + 3  # three paths with 2 edges, K_3 with 3
+    assert stats.holds == stats.instances
+    assert not stats.violations
 
 
 def test_run_corpus_small_all_theorems():
@@ -99,7 +99,7 @@ def test_run_corpus_small_all_theorems():
             len(list(theorem_instances(t, g, cfg))) for g in corpus_up_to(4)
         )
         s = report.per_theorem[t]
-        assert s["instances"] + sum(s["skips"].values()) == domain
+        assert s.instances + sum(s.skips.values()) == domain
 
 
 def test_run_corpus_empty_theorem_set():
@@ -128,19 +128,17 @@ def test_report_payload_shape():
     assert "timing" in timed and "timing" not in payload
 
 
-def test_unknowns_recorded_as_skips_not_holds(monkeypatch):
-    monkeypatch.setattr("domchrom.harness._CHI_CACHE", {})
+def test_unknowns_recorded_as_skips_not_holds():
     cfg = HarnessConfig(theorems=(1,), budget=1)
     report = run_corpus(enumerate_connected_graphs(4), cfg, "n=4 starved")
     stats = report.per_theorem[1]
-    assert stats["unknowns"] > 0
-    assert report.unknown_count == stats["unknowns"]
+    assert stats.unknowns > 0
+    assert report.unknown_count == stats.unknowns
     assert not report.ok
-    assert stats["holds"] == stats["instances"] - len(stats["violations"])
+    assert stats.holds == stats.instances - len(stats.violations)
 
 
-def test_budget_starved_solver_never_reports_holds(monkeypatch):
-    monkeypatch.setattr("domchrom.harness._CHI_CACHE", {})
+def test_budget_starved_solver_never_reports_holds():
     chk = check_theorem(1, make_named("cycle", 6), 0, config=HarnessConfig(budget=1))
     assert isinstance(chk, SkippedCheck)
     assert "budget" in chk.reason
@@ -171,5 +169,17 @@ def test_tightness_recorded():
         [make_named("cycle", 4)], HarnessConfig(theorems=(6,)), "C4"
     )
     stats = report.per_theorem[6]
-    assert stats["instances"] == 1
-    assert stats["tight_upper"] == 1  # chi_dd(W_4) = chi_dd(C_4) + 1
+    assert stats.instances == 1
+    assert stats.tight_upper == 1  # chi_dd(W_4) = chi_dd(C_4) + 1
+
+
+def test_report_does_not_depend_on_earlier_runs():
+    starved = HarnessConfig(theorems=(1,), budget=1)
+    first = run_corpus(enumerate_connected_graphs(4), starved, "n=4 starved")
+    run_corpus(enumerate_connected_graphs(4), HarnessConfig(theorems=(1,)), "n=4")
+    second = run_corpus(enumerate_connected_graphs(4), starved, "n=4 starved")
+    assert first.unknown_count == 112
+    assert second.to_json() == first.to_json()
+    c6 = make_named("cycle", 6)
+    assert isinstance(check_theorem(1, c6, 0), TheoremCheck)
+    assert isinstance(check_theorem(1, c6, 0, config=HarnessConfig(budget=1)), SkippedCheck)

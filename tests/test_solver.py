@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import domchrom.solver as solver
@@ -147,3 +152,47 @@ def test_path_chi_dd_examples_and_memo():
 def test_solver_rejects_disconnected():
     with pytest.raises(ValueError):
         chi_dd_exact(from_edges(4, [(0, 1), (2, 3)]))
+
+
+_PLANTED_FAULTS = '''
+import sys
+
+if __debug__:
+    sys.exit("expected to run under python -O")
+
+from domchrom import harness, solver
+from domchrom.graph import make_named
+
+
+def expect_runtime_error(what, call):
+    try:
+        call()
+    except RuntimeError as exc:
+        print(f"{what}: {exc}")
+    else:
+        sys.exit(f"{what} accepted a planted fault")
+
+
+c4 = make_named("cycle", 4)
+search = solver._search
+solver._search = lambda g, k, budget: ((0,) * g.n, 1)  # one improper class
+expect_runtime_error("find_domination_coloring", lambda: solver.find_domination_coloring(c4, 1))
+expect_runtime_error("chi_dd_exact", lambda: solver.chi_dd_exact(c4))
+solver._search = search
+
+harness.chi_dd_oracle = lambda g: 99
+expect_runtime_error("oracle cross-check", lambda: harness.check_theorem(5, make_named("complete", 2), 2))
+
+solver.chi_dd_exact = lambda g, budget=0: solver.SolveResult(None, None, "unknown", 1, g.n, 0, 0.0)
+expect_runtime_error("path_chi_dd", lambda: solver.path_chi_dd(5, cache={}))
+'''
+
+
+def test_checks_survive_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _PLANTED_FAULTS], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 4, proc.stdout
