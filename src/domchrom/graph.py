@@ -37,9 +37,12 @@ class Graph:
     ``adj[v]`` is the open-neighborhood bitset of ``v``; ``closed[v]``
     additionally contains ``v`` itself.  Construction validates symmetry
     and loop-freeness, so any reachable instance is a simple graph.
+    Because it never changes, :func:`to_graph6` and the cut structure
+    behind :func:`cut_vertices`/:func:`bridges` are computed once per
+    instance and kept in the two memo slots.
     """
 
-    __slots__ = ("n", "m", "adj", "closed")
+    __slots__ = ("n", "m", "adj", "closed", "_graph6", "_cut_structure")
 
     def __init__(self, n: int, neighbor_masks: Sequence[int]):
         masks = tuple(neighbor_masks)
@@ -63,6 +66,8 @@ class Graph:
         self.m = degree_sum // 2
         self.adj = masks
         self.closed = tuple(mask | (1 << v) for v, mask in enumerate(masks))
+        self._graph6: str | None = None
+        self._cut_structure: tuple[frozenset[int], frozenset[tuple[int, int]]] | None = None
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
@@ -208,6 +213,8 @@ def parse_graph6(text: str) -> Graph:
 
 def to_graph6(g: Graph) -> str:
     """Encode a graph as one graph6 line; inverse of :func:`parse_graph6`."""
+    if g._graph6 is not None:
+        return g._graph6
     if g.n > GRAPH6_MAX_ORDER:
         raise ValueError(f"graph6 encoder supports n <= {GRAPH6_MAX_ORDER}, got {g.n}")
     out = [chr(63 + g.n)]
@@ -224,7 +231,8 @@ def to_graph6(g: Graph) -> str:
                 filled = 0
     if filled:
         out.append(chr(63 + (group << (6 - filled))))
-    return "".join(out)
+    g._graph6 = "".join(out)
+    return g._graph6
 
 
 def is_connected(g: Graph) -> bool:
@@ -242,8 +250,11 @@ def is_connected(g: Graph) -> bool:
     return reach == full
 
 
-def _lowpoint(g: Graph, caller: str) -> tuple[set[int], set[tuple[int, int]]]:
-    """Cut vertices and bridges (as (u, v) with u < v) from one lowpoint DFS."""
+def _lowpoint(g: Graph, caller: str) -> tuple[frozenset[int], frozenset[tuple[int, int]]]:
+    """Cut vertices and bridges (as (u, v) with u < v) from one lowpoint DFS,
+    memoized on ``g``; a disconnected graph raises on every call."""
+    if g._cut_structure is not None:
+        return g._cut_structure
     if not is_connected(g):
         raise ValueError(f"{caller} requires a connected graph")
     disc = [-1] * g.n
@@ -275,15 +286,16 @@ def _lowpoint(g: Graph, caller: str) -> tuple[set[int], set[tuple[int, int]]]:
             cuts.add(v)
 
     dfs(0, -1)
-    return cuts, bridge_set
+    g._cut_structure = (frozenset(cuts), frozenset(bridge_set))
+    return g._cut_structure
 
 
-def cut_vertices(g: Graph) -> set[int]:
+def cut_vertices(g: Graph) -> frozenset[int]:
     """Vertices whose removal disconnects ``g``."""
     return _lowpoint(g, "cut_vertices")[0]
 
 
-def bridges(g: Graph) -> set[tuple[int, int]]:
+def bridges(g: Graph) -> frozenset[tuple[int, int]]:
     """Edges whose removal disconnects ``g``, as (u, v) pairs with u < v."""
     return _lowpoint(g, "bridges")[1]
 

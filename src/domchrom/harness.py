@@ -255,8 +255,8 @@ def check_theorem(
     if config.witnesses and spec.witnesses is not None:
         base = {"G": before.witness, "H": after.witness}
         (ext_kind, ext_side), (red_kind, red_side) = spec.witnesses
-        ext = extend_witness(ext_kind, g, instance, base[ext_side]).status
-        red_out = reduce_witness(red_kind, g, instance, base[red_side])
+        ext = extend_witness(ext_kind, g, instance, base[ext_side], h=target).status
+        red_out = reduce_witness(red_kind, g, instance, base[red_side], h=target)
         red, case = red_out.status, red_out.case
     return TheoremCheck(
         theorem, g6, label, before.chi_dd, after.chi_dd, lower, upper,
@@ -487,9 +487,12 @@ def run_corpus(
     merges commutative counts, and all retained lists are sorted at the
     end by (graph6, theorem, instance).  Solves are cached for this call
     only (one cache per worker process), so a report never depends on
-    what ran before it.
+    what ran before it.  A theorem id listed twice raises ValueError,
+    since it would count each of its instances twice.
     """
     config = config or HarnessConfig()
+    if len(set(config.theorems)) != len(config.theorems):
+        raise ValueError(f"theorem ids repeat in {','.join(map(str, config.theorems))}")
     start = time.perf_counter()
     stats = {t: TheoremStats() for t in config.theorems}
     count = 0

@@ -30,12 +30,29 @@ def contraction_index_map(n: int, u: int, v: int) -> tuple[int, ...]:
     return tuple(u if w == v else w - (w > v) for w in range(n))
 
 
-def remove_vertex(g: Graph, v: int) -> Graph:
-    """Delete v and all incident edges; remaining ids compact downward."""
+def require_removable(g: Graph, v: int) -> None:
+    """Raise ValueError unless :func:`remove_vertex` accepts ``v``."""
     if g.n < 2:
         raise ValueError("cannot remove a vertex from a graph of order 1")
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range for order {g.n}")
+
+
+def require_contractible(g: Graph, u: int, v: int, edge: bool) -> None:
+    """Raise ValueError unless :func:`contract_edge` (``edge``) or
+    :func:`contract_vertices` accepts the pair."""
+    if edge:
+        if not g.has_edge(u, v):
+            raise ValueError(f"({u},{v}) is not an edge; use contract_vertices")
+    elif u == v:
+        raise ValueError("cannot contract a vertex with itself")
+    elif g.has_edge(u, v):
+        raise ValueError(f"({u},{v}) is an edge; use contract_edge")
+
+
+def remove_vertex(g: Graph, v: int) -> Graph:
+    """Delete v and all incident edges; remaining ids compact downward."""
+    require_removable(g, v)
     masks = [
         _drop_slot(g.adj[w] & ~(1 << v), v) for w in range(g.n) if w != v
     ]
@@ -73,17 +90,13 @@ def _contract(g: Graph, u: int, v: int) -> Graph:
 def contract_edge(g: Graph, e: tuple[int, int]) -> Graph:
     """Contract an edge; parallels collapse and no loop appears."""
     u, v = e
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u},{v}) is not an edge; use contract_vertices")
+    require_contractible(g, u, v, edge=True)
     return _contract(g, u, v)
 
 
 def contract_vertices(g: Graph, u: int, v: int) -> Graph:
     """Merge a non-adjacent vertex pair into one vertex."""
-    if u == v:
-        raise ValueError("cannot contract a vertex with itself")
-    if g.has_edge(u, v):
-        raise ValueError(f"({u},{v}) is an edge; use contract_edge")
+    require_contractible(g, u, v, edge=False)
     return _contract(g, u, v)
 
 

@@ -13,12 +13,19 @@ outcome is a structured ``gap`` finding, which the corpus harness counts
 per case.  The numeric inequalities themselves are always verified by the
 exact solver independently of these outcomes.
 
-Argument convention: ``g`` is always the theorem's graph G.  For
-``add_vertex``/``add_edge`` the base colors G - v / G - e; for
-``contract_edge``/``contract_vertices``/``cycle_extend`` it colors G; for
-``remove_vertex``/``remove_edge`` it colors G; for ``uncontract``/
-``remove_hub`` it colors the contracted / cycle-extended graph and the
-construction recovers a coloring of G.
+Argument convention: ``g`` is always the theorem's graph G, and ``h`` is
+the graph H the theorem's operation makes from G: G - v for
+``add_vertex``/``remove_vertex``, G - e for ``add_edge``/``remove_edge``,
+the contraction of the pair for ``contract_edge``/``contract_vertices``/
+``uncontract``, and G with a hub on the cycle for ``cycle_extend``/
+``remove_hub``.  A caller that has built H already (the corpus harness)
+passes it; otherwise it is built from ``g`` and ``params``.  Either way
+``params`` are validated against ``g``.  For ``add_vertex``/``add_edge``
+the base colors H and the construction colors G; for
+``contract_edge``/``contract_vertices``/``cycle_extend`` and
+``remove_vertex``/``remove_edge`` it colors G and the construction colors
+H; for ``uncontract``/``remove_hub`` it colors H and the construction
+recovers a coloring of G.
 """
 
 from __future__ import annotations
@@ -34,10 +41,32 @@ from .ops import (
     cycle_extend,
     remove_edge,
     remove_vertex,
+    require_contractible,
+    require_removable,
 )
 
 EXTEND_KINDS = ("add_vertex", "add_edge", "contract_edge", "contract_vertices", "cycle_extend")
 REDUCE_KINDS = ("remove_vertex", "remove_edge", "uncontract", "remove_hub")
+
+# Witness kind -> the theorem's operation, G -> H.  Entries reach ops
+# through module globals at call time, so rebinding those names (as a
+# tracer does) reaches every call.
+_OPERATION = {
+    "add_vertex": lambda g, v: remove_vertex(g, v),
+    "remove_vertex": lambda g, v: remove_vertex(g, v),
+    "add_edge": lambda g, e: remove_edge(g, e),
+    "remove_edge": lambda g, e: remove_edge(g, e),
+    "contract_edge": lambda g, e: contract_edge(g, e),
+    "contract_vertices": lambda g, e: contract_vertices(g, *e),
+    "uncontract": lambda g, e: contract_edge(g, e) if g.has_edge(*e) else contract_vertices(g, *e),
+    "cycle_extend": lambda g, cyc: cycle_extend(g, cyc),
+    "remove_hub": lambda g, cyc: cycle_extend(g, cyc),
+}
+
+
+def _operated(kind: str, g: Graph, params, h: Graph | None) -> Graph:
+    """H as given, or built from G; callers validate ``params`` first."""
+    return _OPERATION[kind](g, params) if h is None else h
 
 
 @dataclass(frozen=True)
@@ -87,12 +116,12 @@ def _edge_params(g: Graph, params) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def extend_witness(kind: str, g: Graph, params, base: Coloring) -> WitnessOutcome:
+def extend_witness(kind: str, g: Graph, params, base: Coloring, h: Graph | None = None) -> WitnessOutcome:
     """One fresh color realizes the airtight proof directions; see module doc."""
-    k = None
     if kind == "add_vertex":
         v = params
-        source = remove_vertex(g, v)
+        require_removable(g, v)
+        source = _operated(kind, g, v, h)
         _require_dom(source, base, "base coloring of G - v")
         k = base.class_count
         assign = [
@@ -102,7 +131,7 @@ def extend_witness(kind: str, g: Graph, params, base: Coloring) -> WitnessOutcom
 
     if kind == "add_edge":
         u, v = _edge_params(g, params)
-        source = remove_edge(g, (u, v))
+        source = _operated(kind, g, (u, v), h)
         _require_dom(source, base, "base coloring of G - e")
         assign = list(base.assignment)
         k = base.class_count
@@ -113,10 +142,8 @@ def extend_witness(kind: str, g: Graph, params, base: Coloring) -> WitnessOutcom
 
     if kind in ("contract_edge", "contract_vertices"):
         u, v = params
-        if kind == "contract_edge":
-            target = contract_edge(g, (u, v))
-        else:
-            target = contract_vertices(g, u, v)
+        require_contractible(g, u, v, edge=kind == "contract_edge")
+        target = _operated(kind, g, (u, v), h)
         _require_dom(g, base, "base coloring of G")
         k = base.class_count
         imap = contraction_index_map(g.n, u, v)
@@ -129,7 +156,8 @@ def extend_witness(kind: str, g: Graph, params, base: Coloring) -> WitnessOutcom
 
     if kind == "cycle_extend":
         cyc: CycleSpec = params
-        target = cycle_extend(g, cyc)
+        cyc.validate(g)
+        target = _operated(kind, g, cyc, h)
         _require_dom(g, base, "base coloring of G")
         k = base.class_count
         assign = list(base.assignment) + [k]
@@ -148,17 +176,18 @@ def _classes_dominated_only_by(g: Graph, c: Coloring, v: int) -> int:
     return flagged & ~vbit
 
 
-def reduce_witness(kind: str, g: Graph, params, base: Coloring) -> WitnessOutcome:
+def reduce_witness(kind: str, g: Graph, params, base: Coloring, h: Graph | None = None) -> WitnessOutcome:
     """Case-by-case constructions of the non-airtight proof directions."""
     if kind == "remove_vertex":
         v = params
+        require_removable(g, v)
         if v in cut_vertices(g):
             raise ValueError(f"vertex {v} is a cut vertex; theorem hypothesis fails")
         _require_dom(g, base, "base coloring of G")
         i = base.assignment[v]
         case = "case1" if base.classes[i] != (1 << v) else "case2"
         flagged = _classes_dominated_only_by(g, base, v)
-        target = remove_vertex(g, v)
+        target = _operated(kind, g, v, h)
         fresh = base.class_count
         assign = []
         for w in range(g.n):
@@ -181,7 +210,7 @@ def reduce_witness(kind: str, g: Graph, params, base: Coloring) -> WitnessOutcom
         i, j = base.assignment[u], base.assignment[v]
         u_dominates_vs_class = bool((doms[j] >> u) & 1)
         v_dominates_us_class = bool((doms[i] >> v) & 1)
-        target = remove_edge(g, (u, v))
+        target = _operated(kind, g, (u, v), h)
         assign = list(base.assignment)
         k = base.class_count
         if u_dominates_vs_class and v_dominates_us_class:
@@ -202,10 +231,8 @@ def reduce_witness(kind: str, g: Graph, params, base: Coloring) -> WitnessOutcom
         u, v = params
         if u == v:
             raise ValueError("uncontract needs two distinct vertices")
-        if g.has_edge(u, v):
-            source = contract_edge(g, (u, v))
-        else:
-            source = contract_vertices(g, u, v)
+        g.has_edge(u, v)  # raises on a vertex out of range
+        source = _operated(kind, g, (u, v), h)
         _require_dom(source, base, "base coloring of the contracted graph")
         imap = contraction_index_map(g.n, u, v)
         k = base.class_count
@@ -219,7 +246,8 @@ def reduce_witness(kind: str, g: Graph, params, base: Coloring) -> WitnessOutcom
 
     if kind == "remove_hub":
         cyc: CycleSpec = params
-        source = cycle_extend(g, cyc)
+        cyc.validate(g)
+        source = _operated(kind, g, cyc, h)
         _require_dom(source, base, "base coloring of the cycle-extended graph")
         hub = g.n
         i = base.assignment[hub]

@@ -126,6 +126,17 @@ def test_witness_validated_and_gap_exit_codes():
     assert "not a domination coloring" in err
 
 
+def test_witness_remove_vertex_out_of_range_is_a_usage_error():
+    k3 = to_graph6(make_named("complete", 3))
+    for v in ("9", "-1"):
+        code, out, err = run_cli(
+            ["witness", "--kind", "remove-vertex", f"--params={v}", "--base", "0,1,2", k3]
+        )
+        assert code == 2
+        assert out == ""
+        assert f"vertex {v} out of range for order 3" in err
+
+
 def test_gen_counts_and_determinism():
     code, out, _ = run_cli(["gen", "2"])
     assert code == 0
@@ -181,6 +192,13 @@ def test_verify_usage_errors():
     assert code == 2
     code, _, err = run_cli(["verify", "--n-max", "3", "--k-range", "4,2"])
     assert code == 2
+
+
+def test_verify_rejects_repeated_theorem_ids():
+    code, out, err = run_cli(["verify", "--n-max", "3", "--theorems", "1,1"])
+    assert code == 2
+    assert out == ""
+    assert "theorem ids repeat" in err
 
 
 def test_verify_budget_exhaustion_exit_3():

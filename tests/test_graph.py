@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from domchrom.graph import (
@@ -119,6 +121,46 @@ def test_bridges_examples():
     assert bridges(make_named("complete", 4)) == set()
     with pytest.raises(ValueError):
         bridges(from_edges(3, [(0, 1)]))
+
+
+def test_memos_match_a_fresh_copy_on_corpus():
+    # to_graph6, cut_vertices and bridges are memoized on the graph: asked
+    # twice, one object answers what a freshly parsed copy computes
+    for n in range(1, 7):
+        for g in enumerate_connected_graphs(n):
+            first = (to_graph6(g), cut_vertices(g), bridges(g))
+            assert (to_graph6(g), cut_vertices(g), bridges(g)) == first
+            fresh = parse_graph6(first[0])
+            assert fresh == g
+            assert (to_graph6(fresh), cut_vertices(fresh), bridges(fresh)) == first
+
+
+def test_cut_structure_is_immutable_and_never_memoized_when_disconnected():
+    p4 = make_named("path", 4)
+    assert isinstance(cut_vertices(p4), frozenset)
+    assert isinstance(bridges(p4), frozenset)
+    with pytest.raises(AttributeError):
+        cut_vertices(p4).add(0)
+    with pytest.raises(AttributeError):
+        bridges(p4).discard((0, 1))
+    assert cut_vertices(p4) == {1, 2}
+    split = from_edges(3, [(0, 1)])
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            cut_vertices(split)
+        with pytest.raises(ValueError):
+            bridges(split)
+
+
+def test_graph_pickles_with_and_without_memos():
+    # filled memo slots travel with a pickled graph and never affect equality
+    for g in (make_named("path", 4), make_named("cycle", 5)):
+        blank = pickle.loads(pickle.dumps(g))
+        filled = (to_graph6(g), cut_vertices(g), bridges(g))
+        copy = pickle.loads(pickle.dumps(g))
+        for other in (blank, copy):
+            assert other == g and hash(other) == hash(g)
+            assert (to_graph6(other), cut_vertices(other), bridges(other)) == filled
 
 
 def test_cut_structure_matches_removal_on_corpus():

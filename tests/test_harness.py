@@ -109,6 +109,11 @@ def test_run_corpus_empty_theorem_set():
     assert report.ok
 
 
+def test_run_corpus_rejects_repeated_theorem_ids():
+    with pytest.raises(ValueError, match="repeat"):
+        run_corpus(enumerate_connected_graphs(3), HarnessConfig(theorems=(1, 2, 1)), "n=3")
+
+
 def test_report_determinism():
     cfg = HarnessConfig(theorems=(1, 2, 3))
     first = run_corpus(enumerate_connected_graphs(4), cfg, "n=4")

@@ -7,11 +7,14 @@ from domchrom.graph import (
     cut_vertices,
     enumerate_connected_graphs,
     enumerate_cycles,
+    is_connected,
     make_named,
+    to_graph6,
 )
+from domchrom.harness import _SPECS, HarnessConfig, theorem_instances
 from domchrom.ops import contract_edge, contract_vertices, cycle_extend, remove_edge, remove_vertex
 from domchrom.solver import chi_dd_exact, chi_dd_oracle
-from domchrom.witnesses import extend_witness, reduce_witness
+from domchrom.witnesses import EXTEND_KINDS, extend_witness, reduce_witness
 
 
 def test_extend_add_vertex_example():
@@ -199,3 +202,78 @@ def test_reduce_gap_is_a_finding_not_an_error():
                     assert not out.gap_report.diagnostic.ok
     # the inequality itself always holds; gaps are recorded, not fatal
     assert gaps >= 0
+
+
+@pytest.mark.parametrize("v", [9, -1])
+def test_reduce_remove_vertex_rejects_vertex_out_of_range(v):
+    with pytest.raises(ValueError, match=f"vertex {v} out of range for order 3"):
+        reduce_witness("remove_vertex", make_named("complete", 3), v, Coloring([0, 1, 2]))
+
+
+def _result(witness, *args, **kwargs):
+    """The witness outcome, or the message of the ValueError it raised."""
+    try:
+        return witness(*args, **kwargs)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _malformed(g):
+    """(kind, params) pairs every witness must reject for ``g``."""
+    n = g.n
+    pairs = [(0, 0), (0, n), (-1, 0)]
+    non_edges = [(u, v) for v in range(n) for u in range(v) if not g.has_edge(u, v)]
+    cycles = [CycleSpec((n, n + 1, n + 2))]
+    if n >= 3 and not all(g.has_edge(a, b) for a, b in ((0, 1), (1, 2), (0, 2))):
+        cycles.append(CycleSpec((0, 1, 2)))
+    cases = [(kind, v) for kind in ("add_vertex", "remove_vertex") for v in (n, -1)]
+    cases += [
+        (kind, e) for kind in ("add_edge", "remove_edge", "contract_edge") for e in pairs + non_edges[:1]
+    ]
+    cases += [("contract_vertices", e) for e in pairs + g.edges()[:1]]
+    cases += [("uncontract", e) for e in pairs]
+    cases += [(kind, cyc) for kind in ("cycle_extend", "remove_hub") for cyc in cycles]
+    return cases
+
+
+def test_witnesses_given_h_match_witnesses_that_build_it():
+    # The harness hands each witness the H it built; a witness that builds
+    # H itself must give the same outcome, and reject the same params.
+    config = HarnessConfig()
+    solved = {}
+
+    def base_of(graph):
+        if not is_connected(graph):
+            return Coloring(range(graph.n))  # all classes singletons: a domination coloring
+        key = to_graph6(graph)
+        if key not in solved:
+            solved[key] = chi_dd_exact(graph).witness
+        return solved[key]
+
+    compared = 0
+    for n in range(1, 6):
+        for g in enumerate_connected_graphs(n):
+            for theorem in (1, 2, 3, 4, 6):
+                spec = _SPECS[theorem]
+                (ext_kind, ext_side), (red_kind, red_side) = spec.witnesses
+                for instance in theorem_instances(theorem, g, config):
+                    try:
+                        h = spec.apply(g, instance)
+                    except ValueError:
+                        h = g  # no H exists; the params must be rejected before h is used
+                    base = {"G": base_of(g), "H": base_of(h)}
+                    for witness, kind, side in (
+                        (extend_witness, ext_kind, ext_side),
+                        (reduce_witness, red_kind, red_side),
+                    ):
+                        built = _result(witness, kind, g, instance, base[side])
+                        given = _result(witness, kind, g, instance, base[side], h=h)
+                        assert given == built, (to_graph6(g), theorem, instance, kind)
+                        compared += 1
+            base = Coloring(range(g.n))
+            for kind, params in _malformed(g):
+                witness = extend_witness if kind in EXTEND_KINDS else reduce_witness
+                built = _result(witness, kind, g, params, base)
+                assert isinstance(built, str), (to_graph6(g), kind, params)
+                assert _result(witness, kind, g, params, base, h=g) == built
+    assert compared > 30000
