@@ -107,16 +107,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_budget(args) -> int:
-    flag = getattr(args, "budget", None)
-    if flag is not None:
-        return flag
-    env = os.environ.get("DOMCHROM_BUDGET")
-    if env is not None:
+    budget, source = getattr(args, "budget", None), "--budget"
+    if budget is None:
+        env = os.environ.get("DOMCHROM_BUDGET")
+        if env is None:
+            return DEFAULT_BUDGET
+        source = "DOMCHROM_BUDGET"
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise _UsageError(f"DOMCHROM_BUDGET is not an integer: {env!r}") from None
-    return DEFAULT_BUDGET
+    if budget < 1:
+        raise _UsageError(f"{source} must be a positive node count, got {budget}")
+    return budget
 
 
 def _read_graphs(args, stdin) -> list[tuple[str, Graph]]:
@@ -416,6 +419,8 @@ def _cmd_verify(args, stdin, stdout, stderr) -> int:
     krange = _parse_ints(args.k_range, "--k-range")
     if len(krange) != 2 or krange[0] > krange[1]:
         raise _UsageError(f"--k-range expects LO,HI with LO <= HI, got {args.k_range!r}")
+    if args.workers < 1:
+        raise _UsageError(f"--workers must be at least 1, got {args.workers}")
     config = HarnessConfig(
         theorems=theorems,
         k_values=tuple(range(krange[0], krange[1] + 1)),

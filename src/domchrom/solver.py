@@ -1,7 +1,7 @@
 """Exact domination-chromatic-number search plus a brute-force oracle.
 
 The searcher backtracks over vertices in descending-degree order,
-assigning each to an existing class or opening a new one.  Three facts
+assigning each to an existing class or opening a new one.  Four facts
 drive the pruning:
 
 * a class with members S can only be dominated by ``intersect N[u] over
@@ -9,8 +9,18 @@ drive the pruning:
 * a vertex v dominates a final class i iff v lies in that intersection,
   so any vertex outside the union of current dominator sets can only be
   rescued by a class that has not been opened yet;
-* every class fits inside some closed neighborhood, so at most
-  ``max_degree + 1`` vertices can be rescued per unopened class.
+* an unopened class takes all its members from the vertices not yet
+  assigned, and lies inside the closed neighborhood of each member, so
+  it rescues at most ``deg(order[idx]) + 1`` vertices at depth idx (the
+  per-depth ball: the order sorts by descending degree);
+* an unrescued vertex v needs an unopened class inside
+  ``N[v] & remaining``: if that set is empty the branch is dead, and if
+  more than ``k - opened`` such sets are pairwise disjoint, no
+  ``k - opened`` classes can serve them all (the packing bound, found
+  by a greedy scan).
+
+Every cut removes only subtrees that hold no solution, so the first
+coloring found is the first in search order whatever the bounds.
 
 The oracle ignores all of that and scans every set partition.
 """
@@ -62,6 +72,11 @@ def _require_connected(g: Graph) -> None:
         raise ValueError("solver requires a connected graph")
 
 
+def _require_budget(budget: int) -> None:
+    if budget < 1:
+        raise ValueError(f"search budget must be at least 1 node, got {budget}")
+
+
 def _greedy_clique(g: Graph) -> int:
     clique = 0
     size = 0
@@ -81,6 +96,11 @@ def _lower_bound(g: Graph) -> int:
     return max(1, _greedy_clique(g), ball)
 
 
+def _search_order(g: Graph) -> list[int]:
+    """The order in which the search assigns vertices: descending degree, then id."""
+    return sorted(range(g.n), key=lambda v: (-g.adj[v].bit_count(), v))
+
+
 def _search(g: Graph, k: int, budget: int) -> tuple[tuple[int, ...] | None, int]:
     """Find an assignment with exactly k classes, or prove none exists.
 
@@ -92,12 +112,14 @@ def _search(g: Graph, k: int, budget: int) -> tuple[tuple[int, ...] | None, int]
     adj = g.adj
     closed = g.closed
     full = (1 << n) - 1
-    ball = g.max_degree + 1
-    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
-    # remaining_mask[idx] = bitset of vertices not yet reached at depth idx
+    order = _search_order(g)
+    # remaining_mask[idx] = bitset of vertices not yet reached at depth idx;
+    # ball[idx] = largest closed neighborhood among them (0 past the end)
     remaining_mask = [0] * (n + 1)
+    ball = [0] * (n + 1)
     for idx in range(n - 1, -1, -1):
         remaining_mask[idx] = remaining_mask[idx + 1] | (1 << order[idx])
+        ball[idx] = adj[order[idx]].bit_count() + 1
 
     members = [0] * k
     doms = [0] * k
@@ -125,8 +147,26 @@ def _search(g: Graph, k: int, budget: int) -> tuple[tuple[int, ...] | None, int]
                     fit |= allowed[i]
                 if unassigned & ~fit:
                     return False
-        elif uncov.bit_count() > (k - opened) * ball:
-            return False
+        else:
+            free = k - opened
+            count = uncov.bit_count()
+            if count > free * ball[idx]:
+                return False
+            if count > free:
+                remaining = remaining_mask[idx]
+                packed = 0
+                need = 0
+                while uncov:
+                    low = uncov & -uncov
+                    uncov ^= low
+                    reach = closed[low.bit_length() - 1] & remaining
+                    if not reach:
+                        return False
+                    if not reach & packed:
+                        packed |= reach
+                        need += 1
+                        if need > free:
+                            return False
 
         if idx == n:
             return opened == k
@@ -196,9 +236,11 @@ def find_domination_coloring(
     """A domination coloring of g with exactly k nonempty classes, or None.
 
     Raises BudgetExceeded when the budget runs out, which is a distinct
-    "unknown" outcome, never to be read as "none exists".
+    "unknown" outcome, never to be read as "none exists", and ValueError
+    for a budget below one node.
     """
     _require_connected(g)
+    _require_budget(budget)
     if not 1 <= k <= g.n:
         raise ValueError(f"need 1 <= k <= {g.n}, got {k}")
     assignment, _ = _search(g, k, budget)
@@ -208,8 +250,12 @@ def find_domination_coloring(
 
 
 def chi_dd_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
-    """Smallest class count over all domination colorings, with a witness."""
+    """Smallest class count over all domination colorings, with a witness.
+
+    A budget below one node is a ValueError, not an "unknown" result.
+    """
     _require_connected(g)
+    _require_budget(budget)
     start = time.perf_counter()
     total = 0
     k = _lower_bound(g)

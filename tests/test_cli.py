@@ -55,6 +55,25 @@ def test_budget_env_override(monkeypatch):
     assert "DOMCHROM_BUDGET" in err
 
 
+def test_non_positive_budget_is_a_usage_error(monkeypatch):
+    for budget in ("0", "-5"):
+        for argv in (["solve", C4], ["verify", "--n-max", "3", "--theorems", "1"]):
+            code, out, err = run_cli(argv + ["--budget", budget])
+            assert code == 2 and out == ""
+            assert "--budget must be a positive node count" in err
+    monkeypatch.setenv("DOMCHROM_BUDGET", "-3")
+    code, out, err = run_cli(["solve", C4])
+    assert code == 2 and out == ""
+    assert "DOMCHROM_BUDGET must be a positive node count" in err
+
+
+def test_verify_rejects_non_positive_workers():
+    for workers in ("0", "-1"):
+        code, out, err = run_cli(["verify", "--n-max", "3", "--theorems", "1", "--workers", workers])
+        assert code == 2 and out == ""
+        assert "--workers must be at least 1" in err
+
+
 def test_check_valid_and_invalid():
     code, out, _ = run_cli(["check", C4, "0,1,0,1"])
     assert code == 0 and "valid" in out

@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 import domchrom.solver as solver
-from domchrom.coloring import is_domination_coloring
+from domchrom.coloring import Coloring, is_domination_coloring
 from domchrom.graph import enumerate_connected_graphs, from_edges, iter_bits, make_named
+from domchrom.ops import subdivide
 from domchrom.solver import (
     BudgetExceeded,
     chi_dd_exact,
@@ -137,6 +138,55 @@ def test_pruning_soundness_assertions():
             chi_dd_exact(g)
     finally:
         solver.VERIFY_PRUNING = False
+
+
+def _first_coloring_in_search_order(g, k):
+    """The classes of the first k-block partition, in the order the search
+    enumerates them, that is a domination coloring of g; None if none is."""
+    order = solver._search_order(g)
+    assignment = [0] * g.n
+    for blocks in solver._partition_colorings(g.n)[k - 1]:
+        # restricted growth string over search positions, moved to g's labels
+        for pos, v in enumerate(order):
+            assignment[v] = blocks.assignment[pos]
+        c = Coloring(assignment)
+        if is_domination_coloring(g, c)[0]:
+            return set(c.classes)
+    return None
+
+
+def _bounds_corpus():
+    for n in range(1, 6):
+        yield from enumerate_connected_graphs(n)
+    for i, g in enumerate(enumerate_connected_graphs(6)):
+        if i % 20 == 0:
+            yield g
+    for n in range(2, 5):
+        for g in enumerate_connected_graphs(n):
+            if n + g.m <= 8:
+                yield subdivide(g, 2)[0]
+
+
+def test_bounds_prune_only_dead_branches():
+    # The search enumerates partitions in restricted-growth order over its
+    # vertex order, so a bound that cut a live subtree would make it skip
+    # the first qualifying partition and return a later one (or none).
+    checked = 0
+    for g in _bounds_corpus():
+        result = chi_dd_exact(g)
+        assert set(result.witness.classes) == _first_coloring_in_search_order(g, result.chi_dd)
+        checked += 1
+    assert checked == 772 + 1336 + 36  # n<=5, every 20th n=6, 2-subdivisions
+
+
+def test_budget_below_one_is_rejected():
+    c4 = make_named("cycle", 4)
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="budget"):
+            chi_dd_exact(c4, budget=budget)
+        with pytest.raises(ValueError, match="budget"):
+            find_domination_coloring(c4, 2, budget=budget)
+    assert chi_dd_exact(c4, budget=1).status == "unknown"
 
 
 def test_path_chi_dd_examples_and_memo():
