@@ -14,9 +14,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .coloring import Coloring, is_domination_coloring
 from .graph import (
+    GENERATOR_MAX_ORDER,
     CycleSpec,
     Graph,
     Graph6Error,
@@ -24,7 +26,7 @@ from .graph import (
     parse_graph6,
     to_graph6,
 )
-from .harness import SUMMARY_COLUMNS, HarnessConfig, corpus_up_to, run_corpus
+from .harness import HarnessConfig, corpus_up_to, run_corpus
 from .ops import (
     contract_edge,
     contract_vertices,
@@ -38,14 +40,6 @@ from .ops import (
 from .solver import DEFAULT_BUDGET, chi_dd_exact, chi_dd_oracle
 from .witnesses import EXTEND_KINDS, REDUCE_KINDS, extend_witness, reduce_witness
 
-_OPS = (
-    "remove-vertex",
-    "remove-edge",
-    "contract-edge",
-    "contract-vertices",
-    "subdivide",
-    "cycle-extend",
-)
 _WITNESS_KINDS = tuple(kind.replace("_", "-") for kind in EXTEND_KINDS + REDUCE_KINDS)
 
 
@@ -78,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("apply", help="apply a graph operation")
     add_common(p)
-    p.add_argument("--op", choices=_OPS, required=True)
+    p.add_argument("--op", choices=tuple(_APPLY), required=True)
     p.add_argument("--params", required=True, help="operation parameters, comma-separated")
 
     p = sub.add_parser("witness", help="run a proof recoloring")
@@ -158,18 +152,65 @@ def _parse_ints(text: str, what: str) -> list[int]:
         raise _UsageError(f"bad {what}: {text!r} (expected comma-separated integers)") from None
 
 
-def _emit_json(payload: dict, stdout) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True), file=stdout)
+# Parameters per op and witness kind: a vertex or k (1), a vertex pair (2),
+# or a cycle's vertex sequence (None: any count, checked as a CycleSpec).
+_ARITY = {
+    "remove-vertex": 1, "add-vertex": 1, "subdivide": 1,
+    "remove-edge": 2, "add-edge": 2, "contract-edge": 2, "contract-vertices": 2, "uncontract": 2,
+    "cycle-extend": None, "remove-hub": None,
+}
 
 
-def _cmd_solve(args, stdin, stdout) -> int:
+def _op_params(name: str, text: str):
+    """``--params`` for an op or witness kind: one int, or a tuple of them."""
+    params = _parse_ints(text, "--params")
+    arity = _ARITY[name]
+    if arity is not None and len(params) != arity:
+        raise _UsageError(f"{name} takes {arity} parameter{'s' * (arity > 1)}, got {len(params)}")
+    return params[0] if arity == 1 else tuple(params)
+
+
+# Columns quoted in csv, since their values hold commas.
+_QUOTED_COLUMNS = ("witness", "coloring")
+
+
+def _csv_cell(column: str, value) -> str:
+    if value is None:
+        value = ""
+    elif isinstance(value, bool):
+        value = str(value).lower()
+    return f'"{value}"' if column in _QUOTED_COLUMNS else str(value)
+
+
+def _emit(args, stdout, rows: list[dict], csv_columns: tuple[str, ...], text_line, **header):
+    """Print a command's rows in ``args.format``.
+
+    json carries ``header`` and every field of every row, csv the
+    ``csv_columns`` of each row, and text one ``text_line(row)`` per row.
+    """
+    if args.format == "json":
+        payload = {"schema": 1, **header, "results": rows}
+        print(json.dumps(payload, indent=2, sort_keys=True), file=stdout)
+    elif args.format == "csv":
+        print(",".join(csv_columns), file=stdout)
+        for row in rows:
+            print(",".join(_csv_cell(c, row[c]) for c in csv_columns), file=stdout)
+    else:
+        for row in rows:
+            print(text_line(row), file=stdout)
+
+
+def _solve_line(r: dict) -> str:
+    if r["status"] == "exact":
+        return f"{r['graph6']} chi_dd={r['chi_dd']} witness={r['witness']}"
+    return f"{r['graph6']} status=unknown lower={r['lower']} upper={r['upper']}"
+
+
+def _cmd_solve(args, stdin, stdout, stderr) -> int:
     budget = _resolve_budget(args)
     rows = []
-    exit_code = 0
     for g6, g in _read_graphs(args, stdin):
         result = chi_dd_exact(g, budget)
-        if result.status != "exact":
-            exit_code = 3
         rows.append(
             {
                 "graph6": g6,
@@ -181,235 +222,137 @@ def _cmd_solve(args, stdin, stdout) -> int:
                 "nodes": result.nodes,
             }
         )
-    if args.format == "json":
-        _emit_json({"schema": 1, "results": rows}, stdout)
-    elif args.format == "csv":
-        print("graph6,status,chi_dd,witness", file=stdout)
-        for r in rows:
-            chi = "" if r["chi_dd"] is None else r["chi_dd"]
-            wit = r["witness"] or ""
-            print(f"{r['graph6']},{r['status']},{chi},\"{wit}\"", file=stdout)
-    else:
-        for r in rows:
-            if r["status"] == "exact":
-                print(f"{r['graph6']} chi_dd={r['chi_dd']} witness={r['witness']}", file=stdout)
-            else:
-                print(
-                    f"{r['graph6']} status=unknown lower={r['lower']} upper={r['upper']}",
-                    file=stdout,
-                )
-    return exit_code
+    _emit(args, stdout, rows, ("graph6", "status", "chi_dd", "witness"), _solve_line)
+    return 0 if all(r["status"] == "exact" for r in rows) else 3
 
 
-def _cmd_check(args, stdin, stdout) -> int:
+def _check_line(r: dict) -> str:
+    if r["valid"]:
+        return f"{r['graph6']} valid"
+    return (
+        f"{r['graph6']} invalid"
+        f" undominating_vertices={list(r['undominating_vertices'])}"
+        f" undominated_classes={list(r['undominated_classes'])}"
+        f" improper_edges={list(r['improper_edges'])}"
+    )
+
+
+def _cmd_check(args, stdin, stdout, stderr) -> int:
     graphs = _read_graphs(args, stdin)
     try:
         coloring = Coloring.from_text(args.coloring)
     except ValueError as exc:
         raise _UsageError(f"bad coloring: {exc}") from None
-    exit_code = 0
     rows = []
     for g6, g in graphs:
-        try:
-            ok, diag = is_domination_coloring(g, coloring)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
-        if not ok:
-            exit_code = 1
-        rows.append((g6, ok, diag))
-    if args.format == "json":
-        _emit_json(
-            {
-                "schema": 1,
-                "results": [
-                    {
-                        "graph6": g6,
-                        "valid": ok,
-                        "undominating_vertices": list(d.undominating_vertices),
-                        "undominated_classes": list(d.undominated_classes),
-                        "improper_edges": [list(e) for e in d.improper_edges],
-                    }
-                    for g6, ok, d in rows
-                ],
-            },
-            stdout,
-        )
-    elif args.format == "csv":
-        print("graph6,valid", file=stdout)
-        for g6, ok, _ in rows:
-            print(f"{g6},{str(ok).lower()}", file=stdout)
-    else:
-        for g6, ok, d in rows:
-            if ok:
-                print(f"{g6} valid", file=stdout)
-            else:
-                print(
-                    f"{g6} invalid"
-                    f" undominating_vertices={list(d.undominating_vertices)}"
-                    f" undominated_classes={list(d.undominated_classes)}"
-                    f" improper_edges={list(d.improper_edges)}",
-                    file=stdout,
-                )
-    return exit_code
+        ok, diag = is_domination_coloring(g, coloring)
+        rows.append({"graph6": g6, "valid": ok, **asdict(diag)})
+    _emit(args, stdout, rows, ("graph6", "valid"), _check_line)
+    return 0 if all(r["valid"] for r in rows) else 1
 
 
-def _apply_one(g: Graph, op: str, params: list[int]):
-    """Returns (result graph, mapping payload dict)."""
-    if op == "remove-vertex":
-        (v,) = params
-        h = remove_vertex(g, v)
-        vmap = removal_index_map(g.n, v)
-        return h, {"vertex_map": {str(w): vmap[w] for w in range(g.n)}}
-    if op == "remove-edge":
-        u, v = params
-        h = remove_edge(g, (u, v))
-        return h, {"vertex_map": {str(w): w for w in range(g.n)}}
-    if op == "contract-edge":
-        u, v = params
-        h = contract_edge(g, (u, v))
-        cmap = contraction_index_map(g.n, u, v)
-        return h, {"vertex_map": {str(w): cmap[w] for w in range(g.n)}}
-    if op == "contract-vertices":
-        u, v = params
-        h = contract_vertices(g, u, v)
-        cmap = contraction_index_map(g.n, u, v)
-        return h, {"vertex_map": {str(w): cmap[w] for w in range(g.n)}}
-    if op == "subdivide":
-        (k,) = params
-        h, smap = subdivide(g, k)
-        return h, {
-            "vertex_map": {str(w): w for w in range(g.n)},
-            "superedges": {
-                f"{u}-{v}": list(path) for (u, v), path in smap.superedges.items()
-            },
-        }
-    if op == "cycle-extend":
-        h = cycle_extend(g, CycleSpec(tuple(params)))
-        payload = {"vertex_map": {str(w): w for w in range(g.n)}, "hub": g.n}
-        return h, payload
-    raise _UsageError(f"unknown op {op}")
+def _subdivided(g: Graph, k: int):
+    h, smap = subdivide(g, k)
+    return h, {"superedges": {f"{u}-{v}": path for (u, v), path in smap.superedges.items()}}
 
 
-def _cmd_apply(args, stdin, stdout) -> int:
-    params = _parse_ints(args.params, "--params")
+def _contraction_map(n: int, pair: tuple[int, int]) -> tuple[int, ...]:
+    return contraction_index_map(n, *pair)
+
+
+# op -> (G, params -> (H, extra row fields), old -> new vertex index map;
+# None keeps every index).
+_APPLY = {
+    "remove-vertex": (lambda g, v: (remove_vertex(g, v), {}), removal_index_map),
+    "remove-edge": (lambda g, e: (remove_edge(g, e), {}), None),
+    "contract-edge": (lambda g, e: (contract_edge(g, e), {}), _contraction_map),
+    "contract-vertices": (lambda g, e: (contract_vertices(g, *e), {}), _contraction_map),
+    "subdivide": (_subdivided, None),
+    "cycle-extend": (lambda g, cyc: (cycle_extend(g, CycleSpec(cyc)), {"hub": g.n}), None),
+}
+
+
+def _apply_line(r: dict) -> str:
+    lines = [r["result"]]
+    lines += [f"map {old} -> {'-' if new is None else new}" for old, new in r["vertex_map"].items()]
+    for edge, path in r.get("superedges", {}).items():
+        lines.append(f"superedge {edge}: {','.join(str(x) for x in path)}")
+    if "hub" in r:
+        lines.append(f"hub {r['hub']}")
+    return "\n".join(lines)
+
+
+def _cmd_apply(args, stdin, stdout, stderr) -> int:
+    params = _op_params(args.op, args.params)
+    operation, index_map = _APPLY[args.op]
     rows = []
     for g6, g in _read_graphs(args, stdin):
         try:
-            h, mapping = _apply_one(g, args.op, params)
-        except (ValueError, TypeError) as exc:
+            h, extra = operation(g, params)
+        except ValueError as exc:
             raise _UsageError(f"cannot apply {args.op} to {g6}: {exc}") from None
-        rows.append((g6, to_graph6(h), mapping))
-    if args.format == "json":
-        _emit_json(
+        vmap = range(g.n) if index_map is None else index_map(g.n, params)
+        rows.append(
             {
-                "schema": 1,
-                "op": args.op,
-                "results": [
-                    {"graph6": g6, "result": h6, **mapping} for g6, h6, mapping in rows
-                ],
-            },
-            stdout,
+                "graph6": g6,
+                "result": to_graph6(h),
+                "vertex_map": {str(w): vmap[w] for w in range(g.n)},
+                **extra,
+            }
         )
-    elif args.format == "csv":
-        print("graph6,result", file=stdout)
-        for g6, h6, _ in rows:
-            print(f"{g6},{h6}", file=stdout)
-    else:
-        for g6, h6, mapping in rows:
-            print(h6, file=stdout)
-            for old, new in mapping["vertex_map"].items():
-                print(f"map {old} -> {'-' if new is None else new}", file=stdout)
-            for key in ("superedges",):
-                if key in mapping:
-                    for edge, path in mapping[key].items():
-                        print(f"superedge {edge}: {','.join(str(x) for x in path)}", file=stdout)
-            if "hub" in mapping:
-                print(f"hub {mapping['hub']}", file=stdout)
+    _emit(args, stdout, rows, ("graph6", "result"), _apply_line, op=args.op)
     return 0
 
 
-def _witness_params(kind: str, params: list[int]):
-    if kind in ("add-vertex", "remove-vertex"):
-        (v,) = params
-        return v
-    if kind in ("add-edge", "remove-edge", "contract-edge", "contract-vertices", "uncontract"):
-        u, v = params
-        return (u, v)
-    return CycleSpec(tuple(params))  # cycle-extend / remove-hub
+def _witness_line(r: dict) -> str:
+    line = (
+        f"{r['graph6']} {r['status']} case={r['case']}"
+        f" colors_used={r['colors_used']} coloring={r['coloring']}"
+    )
+    if r["gap"] is not None:
+        line += f" gap_reason={r['gap']['reason']} budget={r['gap']['budget']}"
+    return line
 
 
-def _cmd_witness(args, stdin, stdout) -> int:
+def _cmd_witness(args, stdin, stdout, stderr) -> int:
     try:
         base = Coloring.from_text(args.base)
     except ValueError as exc:
         raise _UsageError(f"bad base coloring: {exc}") from None
-    try:
-        params = _witness_params(args.kind, _parse_ints(args.params, "--params"))
-    except ValueError as exc:
-        raise _UsageError(f"bad --params for {args.kind}: {exc}") from None
+    params = _op_params(args.kind, args.params)
+    if _ARITY[args.kind] is None:
+        try:
+            params = CycleSpec(params)
+        except ValueError as exc:
+            raise _UsageError(f"bad --params for {args.kind}: {exc}") from None
     kind = args.kind.replace("-", "_")
     runner = extend_witness if kind in EXTEND_KINDS else reduce_witness
-    exit_code = 0
     rows = []
     for g6, g in _read_graphs(args, stdin):
         try:
-            outcome = runner(kind, g, params, base)
+            o = runner(kind, g, params, base)
         except ValueError as exc:
             raise _UsageError(f"witness rejected on {g6}: {exc}") from None
-        if outcome.status != "validated":
-            exit_code = 1
-        rows.append((g6, outcome))
-    if args.format == "json":
-        _emit_json(
+        gap = o.gap_report
+        rows.append(
             {
-                "schema": 1,
-                "kind": args.kind,
-                "results": [
-                    {
-                        "graph6": g6,
-                        "status": o.status,
-                        "case": o.case,
-                        "colors_used": o.colors_used,
-                        "coloring": o.coloring.to_text(),
-                        "gap": None
-                        if o.gap_report is None
-                        else {
-                            "reason": o.gap_report.reason,
-                            "budget": o.gap_report.budget,
-                            "diagnostic": None
-                            if o.gap_report.diagnostic is None
-                            else {
-                                "undominating_vertices": list(
-                                    o.gap_report.diagnostic.undominating_vertices
-                                ),
-                                "undominated_classes": list(
-                                    o.gap_report.diagnostic.undominated_classes
-                                ),
-                                "improper_edges": [
-                                    list(e) for e in o.gap_report.diagnostic.improper_edges
-                                ],
-                            },
-                        },
-                    }
-                    for g6, o in rows
-                ],
-            },
-            stdout,
+                "graph6": g6,
+                "status": o.status,
+                "case": o.case,
+                "colors_used": o.colors_used,
+                "coloring": o.coloring.to_text(),
+                "gap": None
+                if gap is None
+                else {
+                    "reason": gap.reason,
+                    "budget": gap.budget,
+                    "diagnostic": None if gap.diagnostic is None else asdict(gap.diagnostic),
+                },
+            }
         )
-    elif args.format == "csv":
-        print("graph6,status,case,colors_used,coloring", file=stdout)
-        for g6, o in rows:
-            print(
-                f"{g6},{o.status},{o.case},{o.colors_used},\"{o.coloring.to_text()}\"",
-                file=stdout,
-            )
-    else:
-        for g6, o in rows:
-            line = f"{g6} {o.status} case={o.case} colors_used={o.colors_used} coloring={o.coloring.to_text()}"
-            if o.gap_report is not None:
-                line += f" gap_reason={o.gap_report.reason} budget={o.gap_report.budget}"
-            print(line, file=stdout)
-    return exit_code
+    columns = ("graph6", "status", "case", "colors_used", "coloring")
+    _emit(args, stdout, rows, columns, _witness_line, kind=args.kind)
+    return 0 if all(r["status"] == "validated" for r in rows) else 1
 
 
 def _cmd_verify(args, stdin, stdout, stderr) -> int:
@@ -433,20 +376,16 @@ def _cmd_verify(args, stdin, stdout, stderr) -> int:
     if (args.n_max is None) == (args.input is None):
         raise _UsageError("verify needs exactly one corpus source: --n-max or --input")
     if args.n_max is not None:
+        if not 1 <= args.n_max <= GENERATOR_MAX_ORDER:
+            raise _UsageError(f"--n-max must be in 1..{GENERATOR_MAX_ORDER}, got {args.n_max}")
         graphs = corpus_up_to(args.n_max)
         descriptor = f"connected graphs n<={args.n_max}"
     else:
         graphs = (g for _, g in _read_graphs(args, stdin))
         descriptor = f"file:{args.input}"
     report = run_corpus(graphs, config, descriptor)
-    if args.format == "json":
-        print(report.to_json(include_timing=False), file=stdout)
-    elif args.format == "csv":
-        print(",".join(["theorem", *(name for name, _, _ in SUMMARY_COLUMNS)]), file=stdout)
-        for t in sorted(report.per_theorem):
-            print(",".join(str(x) for x in (t, *report.per_theorem[t].row())), file=stdout)
-    else:
-        print(report.to_text(include_timing=False), file=stdout)
+    render = {"json": report.to_json, "csv": report.to_csv, "text": report.to_text}[args.format]
+    print(render(), file=stdout)
     print(f"verify: {report.graphs} graphs in {report.elapsed:.2f}s", file=stderr)
     if report.violation_count > 0:
         return 1
@@ -455,32 +394,32 @@ def _cmd_verify(args, stdin, stdout, stderr) -> int:
     return 0
 
 
-def _cmd_gen(args, stdout) -> int:
+def _cmd_gen(args, stdin, stdout, stderr) -> int:
     for g in enumerate_connected_graphs(args.n):
         print(to_graph6(g), file=stdout)
     return 0
 
 
-def _cmd_oracle(args, stdin, stdout) -> int:
+def _cmd_oracle(args, stdin, stdout, stderr) -> int:
     rows = []
     for g6, g in _read_graphs(args, stdin):
         try:
-            rows.append((g6, chi_dd_oracle(g)))
+            rows.append({"graph6": g6, "chi_dd": chi_dd_oracle(g)})
         except ValueError as exc:
             raise _UsageError(f"oracle rejected {g6}: {exc}") from None
-    if args.format == "json":
-        _emit_json(
-            {"schema": 1, "results": [{"graph6": g6, "chi_dd": chi} for g6, chi in rows]},
-            stdout,
-        )
-    elif args.format == "csv":
-        print("graph6,chi_dd", file=stdout)
-        for g6, chi in rows:
-            print(f"{g6},{chi}", file=stdout)
-    else:
-        for g6, chi in rows:
-            print(f"{g6} chi_dd={chi}", file=stdout)
+    _emit(args, stdout, rows, ("graph6", "chi_dd"), lambda r: f"{r['graph6']} chi_dd={r['chi_dd']}")
     return 0
+
+
+_COMMANDS = {
+    "solve": _cmd_solve,
+    "check": _cmd_check,
+    "apply": _cmd_apply,
+    "witness": _cmd_witness,
+    "verify": _cmd_verify,
+    "gen": _cmd_gen,
+    "oracle": _cmd_oracle,
+}
 
 
 def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
@@ -493,28 +432,8 @@ def main(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
     try:
-        if args.command == "solve":
-            return _cmd_solve(args, stdin, stdout)
-        if args.command == "check":
-            return _cmd_check(args, stdin, stdout)
-        if args.command == "apply":
-            return _cmd_apply(args, stdin, stdout)
-        if args.command == "witness":
-            return _cmd_witness(args, stdin, stdout)
-        if args.command == "verify":
-            return _cmd_verify(args, stdin, stdout, stderr)
-        if args.command == "gen":
-            return _cmd_gen(args, stdout)
-        if args.command == "oracle":
-            return _cmd_oracle(args, stdin, stdout)
-        raise _UsageError(f"unknown command {args.command!r}")
-    except _UsageError as exc:
-        print(f"domchrom: error: {exc}", file=stderr)
-        return 2
-    except ValueError as exc:
-        print(f"domchrom: error: {exc}", file=stderr)
-        return 2
-    except OSError as exc:
+        return _COMMANDS[args.command](args, stdin, stdout, stderr)
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"domchrom: error: {exc}", file=stderr)
         return 2
 

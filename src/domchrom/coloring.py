@@ -43,9 +43,6 @@ class Coloring:
             masks[c] |= 1 << v
         self.classes = tuple(masks)
 
-    def class_members(self, i: int) -> tuple[int, ...]:
-        return tuple(iter_bits(self.classes[i]))
-
     def to_text(self) -> str:
         """Comma-separated color indices in vertex order, e.g. ``0,1,0,1``."""
         return ",".join(str(c) for c in self.assignment)

@@ -50,6 +50,15 @@ class HarnessConfig:
     workers: int = 1
     witnesses: bool = True
 
+    def __post_init__(self):
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
+        if self.budget < 1:
+            raise ValueError(f"budget must be a positive node count, got {self.budget}")
+        if len(set(self.theorems)) != len(self.theorems):
+            # each instance of a repeated theorem would be counted twice
+            raise ValueError(f"theorem ids repeat in {','.join(map(str, self.theorems))}")
+
 
 @dataclass(frozen=True)
 class TheoremCheck:
@@ -420,6 +429,13 @@ class CorpusReport:
     def to_json(self, include_timing: bool = False) -> str:
         return json.dumps(self.to_payload(include_timing), indent=2, sort_keys=True)
 
+    def to_csv(self) -> str:
+        """The per-theorem summary rows under a header of :data:`SUMMARY_COLUMNS`."""
+        lines = [",".join(["theorem", *(name for name, _, _ in SUMMARY_COLUMNS)])]
+        for t in sorted(self.per_theorem):
+            lines.append(",".join(str(x) for x in (t, *self.per_theorem[t].row())))
+        return "\n".join(lines)
+
     def to_text(self, include_timing: bool = False) -> str:
         lines = [
             f"corpus: {self.corpus}   graphs: {self.graphs}",
@@ -487,12 +503,9 @@ def run_corpus(
     merges commutative counts, and all retained lists are sorted at the
     end by (graph6, theorem, instance).  Solves are cached for this call
     only (one cache per worker process), so a report never depends on
-    what ran before it.  A theorem id listed twice raises ValueError,
-    since it would count each of its instances twice.
+    what ran before it.
     """
     config = config or HarnessConfig()
-    if len(set(config.theorems)) != len(config.theorems):
-        raise ValueError(f"theorem ids repeat in {','.join(map(str, config.theorems))}")
     start = time.perf_counter()
     stats = {t: TheoremStats() for t in config.theorems}
     count = 0

@@ -1,6 +1,7 @@
 import io
 import json
 
+from domchrom import cli
 from domchrom.cli import main
 from domchrom.graph import enumerate_connected_graphs, make_named, parse_graph6, to_graph6
 from domchrom.solver import chi_dd_oracle
@@ -218,6 +219,37 @@ def test_verify_rejects_repeated_theorem_ids():
     assert code == 2
     assert out == ""
     assert "theorem ids repeat" in err
+
+
+def test_verify_rejects_n_max_out_of_range_before_any_work(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("run_corpus called for an out-of-range --n-max")
+
+    monkeypatch.setattr(cli, "run_corpus", no_run)
+    for n_max in ("0", "-1", "8"):
+        code, out, err = run_cli(["verify", "--n-max", n_max, "--theorems", "1"])
+        assert code == 2 and out == ""
+        assert err == f"domchrom: error: --n-max must be in 1..7, got {n_max}\n"
+
+
+def test_wrong_params_count_is_a_plain_usage_error():
+    cases = [
+        (["apply", "--op", "remove-vertex", "--params", "0,1", C4], "remove-vertex takes 1 parameter, got 2"),
+        (["apply", "--op", "contract-edge", "--params", "0", C4], "contract-edge takes 2 parameters, got 1"),
+        (["apply", "--op", "subdivide", "--params", "", C4], "subdivide takes 1 parameter, got 0"),
+        (
+            ["witness", "--kind", "add-edge", "--params", "0", "--base", "0,1,0,2", C4],
+            "add-edge takes 2 parameters, got 1",
+        ),
+        (
+            ["witness", "--kind", "add-vertex", "--params", "0,1", "--base", "0,1,0", C4],
+            "add-vertex takes 1 parameter, got 2",
+        ),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert err == f"domchrom: error: {message}\n"
 
 
 def test_verify_budget_exhaustion_exit_3():

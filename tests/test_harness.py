@@ -114,6 +114,17 @@ def test_run_corpus_rejects_repeated_theorem_ids():
         run_corpus(enumerate_connected_graphs(3), HarnessConfig(theorems=(1, 2, 1)), "n=3")
 
 
+def test_harness_config_rejects_bad_values():
+    for kwargs, message in [
+        ({"workers": -4}, "workers must be at least 1"),
+        ({"workers": 0}, "workers must be at least 1"),
+        ({"budget": 0}, "budget must be a positive node count"),
+        ({"theorems": (3, 1, 3)}, "theorem ids repeat in 3,1,3"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            HarnessConfig(**kwargs)
+
+
 def test_report_determinism():
     cfg = HarnessConfig(theorems=(1, 2, 3))
     first = run_corpus(enumerate_connected_graphs(4), cfg, "n=4")
