@@ -20,7 +20,8 @@ config = HarnessConfig(
     subdivided_cap=24,
 )
 report = run_corpus(corpus_up_to(n_max), config, f"connected graphs n<={n_max}")
-print(report.to_text(include_timing=True))
+print(report.to_text())
+print(f"elapsed: {report.elapsed:.3f}s")
 
 print()
 print("Reduce-witness gap findings per theorem case:")

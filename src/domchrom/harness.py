@@ -26,7 +26,15 @@ from .graph import (
     parse_graph6,
     to_graph6,
 )
-from .ops import contract_edge, contract_vertices, cycle_extend, remove_edge, remove_vertex, subdivide
+from .ops import (
+    contract_edge,
+    contract_vertices,
+    cycle_extend,
+    remove_edge,
+    remove_vertex,
+    require_edge,
+    subdivide,
+)
 from .solver import (
     DEFAULT_BUDGET,
     ORACLE_MAX_ORDER,
@@ -131,11 +139,6 @@ def _edge_label(e: tuple[int, int]) -> str:
     return f"e={e[0]}-{e[1]}"
 
 
-def _require_edge(g: Graph, e: tuple[int, int], config: HarnessConfig | None = None) -> None:
-    if not g.has_edge(*e):
-        raise ValueError(f"({e[0]},{e[1]}) is not an edge")
-
-
 def _removable_vertex(g: Graph, v: int, config: HarnessConfig) -> str | None:
     if g.n < 2:
         return "order 1"
@@ -143,7 +146,7 @@ def _removable_vertex(g: Graph, v: int, config: HarnessConfig) -> str | None:
 
 
 def _removable_edge(g: Graph, e: tuple[int, int], config: HarnessConfig) -> str | None:
-    _require_edge(g, e)
+    require_edge(g, *e)
     return "bridge" if e in bridges(g) else None
 
 
@@ -188,7 +191,7 @@ _SPECS = {
     3: _Spec(
         instances=lambda g, config: g.edges(),
         label=_edge_label,
-        hypothesis=_require_edge,
+        hypothesis=lambda g, e, config: require_edge(g, *e),
         apply=lambda g, e: contract_edge(g, e),
         bounds=lambda chi, g, e: (chi - 2, chi + 1),
         witnesses=(("contract_edge", "G"), ("uncontract", "H")),
@@ -304,7 +307,7 @@ class TheoremStats:
     tight_lower: int = 0
     tight_upper: int = 0
     extend_validated: int = 0
-    extend_gaps: list[tuple[str, str]] = field(default_factory=list)
+    extend_gaps: int = 0
     reduce_cases: Counter = field(default_factory=Counter)
     reduce_gaps: Counter = field(default_factory=Counter)
     gap_examples: list[tuple[str, str, str]] = field(default_factory=list)
@@ -324,7 +327,7 @@ class TheoremStats:
         if outcome.witness_extend == "validated":
             self.extend_validated += 1
         elif outcome.witness_extend is not None:
-            self.extend_gaps.append((outcome.graph6, outcome.instance))
+            self.extend_gaps += 1
         if outcome.witness_reduce is not None:
             self.reduce_cases[outcome.reduce_case] += 1
             if outcome.witness_reduce == "gap":
@@ -340,7 +343,6 @@ class TheoremStats:
     def finalize(self) -> None:
         """Sort what is retained and cap the examples, so merge order cannot show."""
         self.violations.sort(key=_check_order)
-        self.extend_gaps = sorted(self.extend_gaps)[:GAP_EXAMPLE_CAP]
         per_case: Counter = Counter()
         kept = []
         for item in sorted(self.gap_examples):
@@ -380,7 +382,7 @@ class CorpusReport:
     def ok(self) -> bool:
         return self.violation_count == 0 and self.unknown_count == 0
 
-    def to_payload(self, include_timing: bool = False) -> dict:
+    def to_payload(self) -> dict:
         per_theorem = {}
         for t in sorted(self.per_theorem):
             s = self.per_theorem[t]
@@ -398,14 +400,14 @@ class CorpusReport:
                 "tight_upper": s.tight_upper,
                 "witness": {
                     "extend_validated": s.extend_validated,
-                    "extend_gaps": len(s.extend_gaps),
+                    "extend_gaps": s.extend_gaps,
                     "reduce": reduce_stats,
                     "gap_examples": [
                         f"{case} {g6} {inst}" for case, g6, inst in s.gap_examples
                     ],
                 },
             }
-        payload = {
+        return {
             "schema": 1,
             "corpus": self.corpus,
             "config": asdict(self.config),
@@ -418,16 +420,13 @@ class CorpusReport:
                 "ok": self.ok,
             },
         }
-        if include_timing:
-            payload["timing"] = {"elapsed_s": round(self.elapsed, 3)}
-        return payload
 
     def all_violations(self) -> list[TheoremCheck]:
         out = [v for s in self.per_theorem.values() for v in s.violations]
         return sorted(out, key=_check_order)
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_payload(include_timing), indent=2, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_payload(), indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
         """The per-theorem summary rows under a header of :data:`SUMMARY_COLUMNS`."""
@@ -436,7 +435,7 @@ class CorpusReport:
             lines.append(",".join(str(x) for x in (t, *self.per_theorem[t].row())))
         return "\n".join(lines)
 
-    def to_text(self, include_timing: bool = False) -> str:
+    def to_text(self) -> str:
         lines = [
             f"corpus: {self.corpus}   graphs: {self.graphs}",
             f"theorems: {','.join(str(t) for t in self.config.theorems)}"
@@ -460,8 +459,6 @@ class CorpusReport:
             f"verdict: {'ok' if self.ok else 'FAILED'} "
             f"({self.violation_count} violations, {self.unknown_count} unknowns)"
         )
-        if include_timing:
-            lines.append(f"elapsed: {self.elapsed:.3f}s")
         return "\n".join(lines)
 
 

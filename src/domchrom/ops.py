@@ -38,6 +38,12 @@ def require_removable(g: Graph, v: int) -> None:
         raise ValueError(f"vertex {v} out of range for order {g.n}")
 
 
+def require_edge(g: Graph, u: int, v: int) -> None:
+    """Raise ValueError unless (u, v) is an edge of ``g``."""
+    if not g.has_edge(u, v):
+        raise ValueError(f"({u},{v}) is not an edge")
+
+
 def require_contractible(g: Graph, u: int, v: int, edge: bool) -> None:
     """Raise ValueError unless :func:`contract_edge` (``edge``) or
     :func:`contract_vertices` accepts the pair."""
@@ -62,8 +68,7 @@ def remove_vertex(g: Graph, v: int) -> Graph:
 def remove_edge(g: Graph, e: tuple[int, int]) -> Graph:
     """Delete one edge, keeping every vertex."""
     u, v = e
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u},{v}) is not an edge")
+    require_edge(g, u, v)
     masks = list(g.adj)
     masks[u] &= ~(1 << v)
     masks[v] &= ~(1 << u)

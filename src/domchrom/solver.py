@@ -37,10 +37,6 @@ from .graph import Graph, is_connected, make_named
 DEFAULT_BUDGET = 10_000_000
 ORACLE_MAX_ORDER = 8  # Bell(8) = 4140 partitions
 
-# When set, every incremental dominator update is re-derived from scratch
-# and compared; slow, only for the pruning-soundness test.
-VERIFY_PRUNING = False
-
 
 class BudgetExceeded(Exception):
     """Search ran out of nodes before the question was decided."""
@@ -184,14 +180,6 @@ def _search(g: Graph, k: int, budget: int) -> tuple[tuple[int, ...] | None, int]
                 nd = doms[i] & cu
                 if not nd:
                     continue
-                if VERIFY_PRUNING:
-                    check = full
-                    probe = members[i] | ubit
-                    while probe:
-                        low = probe & -probe
-                        check &= closed[low.bit_length() - 1]
-                        probe ^= low
-                    assert nd == check, "incremental dominator set diverged"
                 old_d = doms[i]
                 old_a = allowed[i]
                 members[i] |= ubit

@@ -13,6 +13,13 @@ outcome is a structured ``gap`` finding, which the corpus harness counts
 per case.  The numeric inequalities themselves are always verified by the
 exact solver independently of these outcomes.
 
+Every construction makes one move, keep-and-fresh: carry the base colors
+across the operation's vertex correspondence (``removal_index_map``,
+``contraction_index_map``, or the identity for edge operations and the
+hub), give each of a few named vertices a fresh color of its own, and
+check the result against the proof's color budget.  A branch only names
+its map, its fresh vertices, its proof case and its budget.
+
 Argument convention: ``g`` is always the theorem's graph G, and ``h`` is
 the graph H the theorem's operation makes from G: G - v for
 ``add_vertex``/``remove_vertex``, G - e for ``add_edge``/``remove_edge``,
@@ -40,8 +47,10 @@ from .ops import (
     contraction_index_map,
     cycle_extend,
     remove_edge,
+    removal_index_map,
     remove_vertex,
     require_contractible,
+    require_edge,
     require_removable,
 )
 
@@ -109,11 +118,28 @@ def _outcome(kind: str, case: str, target: Graph, coloring: Coloring, budget: in
     return WitnessOutcome("gap", coloring, used, case, report)
 
 
-def _edge_params(g: Graph, params) -> tuple[int, int]:
-    u, v = params
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u},{v}) is not an edge of the graph")
-    return (u, v) if u < v else (v, u)
+def _recolor(
+    kind: str, case: str, target: Graph, base: Coloring, vmap, fresh, extra: int, forward: bool = False
+) -> WitnessOutcome:
+    """Keep the base colors across ``vmap``, give each vertex of ``fresh``
+    (target ids, in order) a new color of its own, and judge the result
+    against a budget of ``extra`` colors beyond the base's.
+
+    ``vmap`` maps the base's vertices to ``target``'s when ``forward``,
+    and ``target``'s vertices to the base's otherwise; a vertex mapped to
+    None keeps no color and must be fresh.
+    """
+    colors = base.assignment
+    if forward:
+        assign = [None] * target.n
+        for w, t in enumerate(vmap):
+            if t is not None:
+                assign[t] = colors[w]
+    else:
+        assign = [None if w is None else colors[w] for w in vmap]
+    for color, w in enumerate(fresh, base.class_count):
+        assign[w] = color
+    return _outcome(kind, case, target, Coloring(assign), base.class_count + extra)
 
 
 def extend_witness(kind: str, g: Graph, params, base: Coloring, h: Graph | None = None) -> WitnessOutcome:
@@ -121,47 +147,32 @@ def extend_witness(kind: str, g: Graph, params, base: Coloring, h: Graph | None 
     if kind == "add_vertex":
         v = params
         require_removable(g, v)
-        source = _operated(kind, g, v, h)
-        _require_dom(source, base, "base coloring of G - v")
-        k = base.class_count
-        assign = [
-            k if w == v else base.assignment[w - (w > v)] for w in range(g.n)
-        ]
-        return _outcome(kind, "main", g, Coloring(assign), k + 1)
+        _require_dom(_operated(kind, g, v, h), base, "base coloring of G - v")
+        return _recolor(kind, "main", g, base, removal_index_map(g.n, v), [v], 1)
 
     if kind == "add_edge":
-        u, v = _edge_params(g, params)
-        source = _operated(kind, g, (u, v), h)
-        _require_dom(source, base, "base coloring of G - e")
-        assign = list(base.assignment)
-        k = base.class_count
-        if assign[u] == assign[v]:
-            assign[u] = k  # smaller endpoint takes the fresh color
-            return _outcome(kind, "same_color", g, Coloring(assign), k + 1)
-        return _outcome(kind, "distinct_colors", g, Coloring(assign), k)
+        u, v = sorted(params)
+        require_edge(g, *params)
+        _require_dom(_operated(kind, g, (u, v), h), base, "base coloring of G - e")
+        if base.assignment[u] == base.assignment[v]:
+            # the smaller endpoint takes the fresh color
+            return _recolor(kind, "same_color", g, base, range(g.n), [u], 1)
+        return _recolor(kind, "distinct_colors", g, base, range(g.n), [], 0)
 
     if kind in ("contract_edge", "contract_vertices"):
         u, v = params
         require_contractible(g, u, v, edge=kind == "contract_edge")
         target = _operated(kind, g, (u, v), h)
         _require_dom(g, base, "base coloring of G")
-        k = base.class_count
         imap = contraction_index_map(g.n, u, v)
-        assign = [0] * target.n
-        for w in range(g.n):
-            if w not in (u, v):
-                assign[imap[w]] = base.assignment[w]
-        assign[imap[u]] = k  # fresh color on the merged vertex
-        return _outcome(kind, "main", target, Coloring(assign), k + 1)
+        return _recolor(kind, "main", target, base, imap, [imap[u]], 1, forward=True)
 
     if kind == "cycle_extend":
         cyc: CycleSpec = params
         cyc.validate(g)
         target = _operated(kind, g, cyc, h)
         _require_dom(g, base, "base coloring of G")
-        k = base.class_count
-        assign = list(base.assignment) + [k]
-        return _outcome(kind, "main", target, Coloring(assign), k + 1)
+        return _recolor(kind, "main", target, base, range(g.n), [g.n], 1, forward=True)
 
     raise ValueError(f"unknown extend kind {kind!r}; expected one of {EXTEND_KINDS}")
 
@@ -184,25 +195,15 @@ def reduce_witness(kind: str, g: Graph, params, base: Coloring, h: Graph | None 
         if v in cut_vertices(g):
             raise ValueError(f"vertex {v} is a cut vertex; theorem hypothesis fails")
         _require_dom(g, base, "base coloring of G")
-        i = base.assignment[v]
-        case = "case1" if base.classes[i] != (1 << v) else "case2"
-        flagged = _classes_dominated_only_by(g, base, v)
+        case = "case1" if base.classes[base.assignment[v]] != (1 << v) else "case2"
+        imap = removal_index_map(g.n, v)
+        fresh = [imap[w] for w in iter_bits(_classes_dominated_only_by(g, base, v))]
         target = _operated(kind, g, v, h)
-        fresh = base.class_count
-        assign = []
-        for w in range(g.n):
-            if w == v:
-                continue
-            if (flagged >> w) & 1:
-                assign.append(fresh)  # ascending vertex order
-                fresh += 1
-            else:
-                assign.append(base.assignment[w])
-        budget = base.class_count + g.degree(v) - 1
-        return _outcome(kind, case, target, Coloring(assign), budget)
+        return _recolor(kind, case, target, base, imap, fresh, g.degree(v) - 1, forward=True)
 
     if kind == "remove_edge":
-        u, v = _edge_params(g, params)
+        u, v = sorted(params)
+        require_edge(g, *params)
         if (u, v) in bridges(g):
             raise ValueError(f"({u},{v}) is a bridge; theorem hypothesis fails")
         _require_dom(g, base, "base coloring of G")
@@ -210,22 +211,16 @@ def reduce_witness(kind: str, g: Graph, params, base: Coloring, h: Graph | None 
         i, j = base.assignment[u], base.assignment[v]
         u_dominates_vs_class = bool((doms[j] >> u) & 1)
         v_dominates_us_class = bool((doms[i] >> v) & 1)
-        target = _operated(kind, g, (u, v), h)
-        assign = list(base.assignment)
-        k = base.class_count
         if u_dominates_vs_class and v_dominates_us_class:
-            case = "case3"
-            assign[u] = k
-            assign[v] = k + 1
+            case, fresh = "case3", [u, v]
         elif u_dominates_vs_class:
-            case = "case2"
-            assign[v] = k  # the endpoint whose class the other dominates
+            case, fresh = "case2", [v]  # the endpoint whose class the other dominates
         elif v_dominates_us_class:
-            case = "case2"
-            assign[u] = k
+            case, fresh = "case2", [u]
         else:
-            case = "case1"
-        return _outcome(kind, case, target, Coloring(assign), k + 2)
+            case, fresh = "case1", []
+        target = _operated(kind, g, (u, v), h)
+        return _recolor(kind, case, target, base, range(g.n), fresh, 2)
 
     if kind == "uncontract":
         u, v = params
@@ -234,15 +229,7 @@ def reduce_witness(kind: str, g: Graph, params, base: Coloring, h: Graph | None 
         g.has_edge(u, v)  # raises on a vertex out of range
         source = _operated(kind, g, (u, v), h)
         _require_dom(source, base, "base coloring of the contracted graph")
-        imap = contraction_index_map(g.n, u, v)
-        k = base.class_count
-        assign = [0] * g.n
-        for w in range(g.n):
-            if w not in (u, v):
-                assign[w] = base.assignment[imap[w]]
-        assign[u] = k
-        assign[v] = k + 1
-        return _outcome(kind, "main", g, Coloring(assign), k + 2)
+        return _recolor(kind, "main", g, base, contraction_index_map(g.n, u, v), [u, v], 2)
 
     if kind == "remove_hub":
         cyc: CycleSpec = params
@@ -261,13 +248,7 @@ def reduce_witness(kind: str, g: Graph, params, base: Coloring, h: Graph | None 
                 if mine == [i]:
                     flagged |= 1 << w
         # the proof caps the fresh colors at the cycle length
-        flagged_list = list(iter_bits(flagged))[: cyc.length]
-        fresh = base.class_count
-        assign = list(base.assignment[: g.n])
-        for w in flagged_list:  # ascending vertex order
-            assign[w] = fresh
-            fresh += 1
-        budget = base.class_count + cyc.length
-        return _outcome(kind, case, g, Coloring(assign), budget)
+        fresh = list(iter_bits(flagged))[: cyc.length]
+        return _recolor(kind, case, g, base, range(g.n), fresh, cyc.length)
 
     raise ValueError(f"unknown reduce kind {kind!r}; expected one of {REDUCE_KINDS}")

@@ -232,6 +232,23 @@ def test_verify_rejects_n_max_out_of_range_before_any_work(monkeypatch):
         assert err == f"domchrom: error: --n-max must be in 1..7, got {n_max}\n"
 
 
+def test_verify_rejects_configs_that_check_nothing(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("corpus built for a configuration that checks nothing")
+
+    monkeypatch.setattr(cli, "corpus_up_to", no_work)
+    monkeypatch.setattr(cli, "run_corpus", no_work)
+    for flags, message in (
+        (["--theorems", ""], "--theorems must name theorems 1..6, got ''"),
+        (["--theorems", "5", "--k-range", "0,1"], "--k-range LO must be at least 2, got '0,1'"),
+        (["--theorems", "6", "--cycle-cap", "-1"], "--cycle-cap must be at least 3, got -1"),
+        (["--theorems", "6", "--cycle-cap", "2"], "--cycle-cap must be at least 3, got 2"),
+    ):
+        code, out, err = run_cli(["verify", "--n-max", "3", *flags])
+        assert (code, out) == (2, "")
+        assert err == f"domchrom: error: {message}\n"
+
+
 def test_wrong_params_count_is_a_plain_usage_error():
     cases = [
         (["apply", "--op", "remove-vertex", "--params", "0,1", C4], "remove-vertex takes 1 parameter, got 2"),

@@ -2,9 +2,12 @@ import pytest
 
 from domchrom.graph import CycleSpec, enumerate_connected_graphs, make_named
 from domchrom.harness import (
+    GAP_EXAMPLE_CAP,
+    CorpusReport,
     HarnessConfig,
     SkippedCheck,
     TheoremCheck,
+    TheoremStats,
     check_theorem,
     corpus_up_to,
     run_corpus,
@@ -129,8 +132,8 @@ def test_report_determinism():
     cfg = HarnessConfig(theorems=(1, 2, 3))
     first = run_corpus(enumerate_connected_graphs(4), cfg, "n=4")
     second = run_corpus(enumerate_connected_graphs(4), cfg, "n=4")
-    assert first.to_json(include_timing=False) == second.to_json(include_timing=False)
-    assert first.to_text(include_timing=False) == second.to_text(include_timing=False)
+    assert first.to_json() == second.to_json()
+    assert first.to_text() == second.to_text()
 
 
 def test_report_payload_shape():
@@ -140,8 +143,18 @@ def test_report_payload_shape():
     assert payload["graphs"] == 4
     assert "1" in payload["per_theorem"]
     assert payload["summary"]["ok"] is True
-    timed = report.to_payload(include_timing=True)
-    assert "timing" in timed and "timing" not in payload
+
+
+def test_extend_gap_count_is_not_capped():
+    # extend gaps are counted, not kept as examples, so no cap applies
+    total = GAP_EXAMPLE_CAP + 5
+    halves = [TheoremStats(), TheoremStats()]
+    for v in range(total):
+        halves[v % 2].add(TheoremCheck(1, "C~", f"v={v}", 4, 3, 3, 6, True, witness_extend="gap"))
+    halves[0].merge(halves[1])
+    halves[0].finalize()
+    report = CorpusReport("synthetic", HarnessConfig(theorems=(1,)), 1, {1: halves[0]})
+    assert report.to_payload()["per_theorem"]["1"]["witness"]["extend_gaps"] == total
 
 
 def test_unknowns_recorded_as_skips_not_holds():

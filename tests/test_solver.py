@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -131,15 +132,6 @@ def test_budget_bounds_are_sound():
         assert partial.lower <= full.chi_dd <= partial.upper
 
 
-def test_pruning_soundness_assertions():
-    solver.VERIFY_PRUNING = True
-    try:
-        for g in enumerate_connected_graphs(4):
-            chi_dd_exact(g)
-    finally:
-        solver.VERIFY_PRUNING = False
-
-
 def _first_coloring_in_search_order(g, k):
     """The classes of the first k-block partition, in the order the search
     enumerates them, that is a domination coloring of g; None if none is."""
@@ -246,3 +238,15 @@ def test_checks_survive_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 4, proc.stdout
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so no check in the package may be one.
+    package = Path(__file__).resolve().parents[1] / "src" / "domchrom"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
