@@ -367,6 +367,9 @@ def _cmd_verify(args, stdin, stdout, stderr) -> int:
         raise _UsageError(f"--k-range LO must be at least 2, got {args.k_range!r}")
     if args.cycle_cap < 3:
         raise _UsageError(f"--cycle-cap must be at least 3, got {args.cycle_cap}")
+    if args.subdivided_cap < 3:
+        # the smallest subdivided graph, K2 at k=2, has order 3
+        raise _UsageError(f"--subdivided-cap must be at least 3, got {args.subdivided_cap}")
     if args.workers < 1:
         raise _UsageError(f"--workers must be at least 1, got {args.workers}")
     config = HarnessConfig(

@@ -23,6 +23,7 @@ from .graph import (
     cut_vertices,
     enumerate_connected_graphs,
     enumerate_cycles,
+    is_connected,
     parse_graph6,
     to_graph6,
 )
@@ -32,7 +33,6 @@ from .ops import (
     cycle_extend,
     remove_edge,
     remove_vertex,
-    require_edge,
     subdivide,
 )
 from .solver import (
@@ -63,6 +63,10 @@ class HarnessConfig:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.budget < 1:
             raise ValueError(f"budget must be a positive node count, got {self.budget}")
+        if not self.theorems:
+            raise ValueError("no theorem to check; a run would read ok vacuously")
+        for theorem in self.theorems:
+            _spec(theorem)
         if len(set(self.theorems)) != len(self.theorems):
             # each instance of a repeated theorem would be counted twice
             raise ValueError(f"theorem ids repeat in {','.join(map(str, self.theorems))}")
@@ -117,14 +121,19 @@ def _same(instance):
     return instance
 
 
+def _no_skip(g, instance, config):
+    return None
+
+
 class _Spec(NamedTuple):
     """How one theorem is checked: H = apply(G, instance), lower <= chi_dd(H) <= upper."""
 
     instances: Callable[[Graph, HarnessConfig], Iterable]  # a corpus run's instance domain
     label: Callable[[Any], str]
-    hypothesis: Callable[[Graph, Any, HarnessConfig], str | None]  # skip reason; raises if malformed
     apply: Callable[[Graph, Any], Graph]
     bounds: Callable[[int, Graph, Any], tuple[int, int]]  # given chi_dd(G)
+    # skip reason only; the operation validates
+    hypothesis: Callable[[Graph, Any, HarnessConfig], str | None] = _no_skip
     # (extend, reduce) as (witness kind, "G" or "H": whose coloring it starts from)
     witnesses: tuple[tuple[str, str], tuple[str, str]] | None = None
     canon: Callable[[Any], Any] = _same  # the instance as the fields above take it
@@ -146,14 +155,11 @@ def _removable_vertex(g: Graph, v: int, config: HarnessConfig) -> str | None:
 
 
 def _removable_edge(g: Graph, e: tuple[int, int], config: HarnessConfig) -> str | None:
-    require_edge(g, *e)
     return "bridge" if e in bridges(g) else None
 
 
 def _contractible_pair(g: Graph, e: tuple[int, int], config: HarnessConfig) -> str | None:
-    if e[0] == e[1]:
-        raise ValueError("cannot contract a vertex with itself")
-    return "adjacent pair" if g.has_edge(*e) else None
+    return "adjacent pair" if e[0] != e[1] and g.has_edge(*e) else None
 
 
 def _subdividable(g: Graph, k: int, config: HarnessConfig) -> str | None:
@@ -191,7 +197,6 @@ _SPECS = {
     3: _Spec(
         instances=lambda g, config: g.edges(),
         label=_edge_label,
-        hypothesis=lambda g, e, config: require_edge(g, *e),
         apply=lambda g, e: contract_edge(g, e),
         bounds=lambda chi, g, e: (chi - 2, chi + 1),
         witnesses=(("contract_edge", "G"), ("uncontract", "H")),
@@ -216,7 +221,6 @@ _SPECS = {
     6: _Spec(
         instances=_cycles,
         label=lambda cyc: "C=" + "-".join(str(v) for v in cyc.vertices),
-        hypothesis=lambda g, cyc, config: cyc.validate(g),
         apply=lambda g, cyc: cycle_extend(g, cyc),
         bounds=lambda chi, g, cyc: (chi - cyc.length, chi + 1),
         witnesses=(("cycle_extend", "G"), ("remove_hub", "H")),
@@ -241,6 +245,8 @@ def check_theorem(
 ) -> Union[TheoremCheck, SkippedCheck]:
     """Verify one theorem instance; hypothesis violations come back as skips.
 
+    H is built before either solve, so a malformed instance raises the
+    operation's ValueError whatever the budget.
     ``cache`` maps graph6 to exact solves and may be shared across calls;
     without one, the call solves from scratch.
     """
@@ -253,10 +259,10 @@ def check_theorem(
     reason = spec.hypothesis(g, instance, config)
     if reason is not None:
         return SkippedCheck(theorem, g6, label, reason)
+    target = spec.apply(g, instance)
     before = _solve_cached(g, config.budget, cache)
     if before.status != "exact":
         return SkippedCheck(theorem, g6, label, _UNKNOWN)
-    target = spec.apply(g, instance)
     after = _solve_cached(target, config.budget, cache)
     if after.status != "exact":
         return SkippedCheck(theorem, g6, label, _UNKNOWN)
@@ -468,6 +474,8 @@ class CorpusReport:
 def _check_graph(
     g: Graph, config: HarnessConfig, cache: dict[str, SolveResult], stats: dict[int, TheoremStats]
 ) -> None:
+    if not is_connected(g):
+        raise ValueError(f"graph {to_graph6(g)} is not connected; the theorems are about connected graphs")
     for theorem in config.theorems:
         for instance in theorem_instances(theorem, g, config):
             stats[theorem].add(check_theorem(theorem, g, instance, config=config, cache=cache))

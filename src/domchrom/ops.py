@@ -113,7 +113,6 @@ class SubdivisionMap:
     in the subdivided graph; base vertices keep their ids.
     """
 
-    path_length: int
     superedges: dict[tuple[int, int], tuple[int, ...]]
 
     def internal_vertices(self) -> set[int]:
@@ -139,7 +138,7 @@ def subdivide(g: Graph, k: int) -> tuple[Graph, SubdivisionMap]:
             masks[a] |= 1 << b
             masks[b] |= 1 << a
         superedges[(u, v)] = tuple(path)
-    return Graph(n2, masks), SubdivisionMap(k, superedges)
+    return Graph(n2, masks), SubdivisionMap(superedges)
 
 
 def cycle_extend(g: Graph, c: CycleSpec) -> Graph:

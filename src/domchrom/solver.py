@@ -27,7 +27,6 @@ The oracle ignores all of that and scans every set partition.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -60,7 +59,6 @@ class SolveResult:
     lower: int
     upper: int
     nodes: int
-    elapsed: float
 
 
 def _require_connected(g: Graph) -> None:
@@ -73,10 +71,15 @@ def _require_budget(budget: int) -> None:
         raise ValueError(f"search budget must be at least 1 node, got {budget}")
 
 
+def _search_order(g: Graph) -> list[int]:
+    """The order in which the search assigns vertices: descending degree, then id."""
+    return sorted(range(g.n), key=lambda v: (-g.adj[v].bit_count(), v))
+
+
 def _greedy_clique(g: Graph) -> int:
     clique = 0
     size = 0
-    for v in sorted(range(g.n), key=lambda v: (-g.adj[v].bit_count(), v)):
+    for v in _search_order(g):
         if clique & ~g.adj[v]:
             continue
         clique |= 1 << v
@@ -90,11 +93,6 @@ def _lower_bound(g: Graph) -> int:
     # depends on either, they only skip hopeless k values.
     ball = -(-g.n // (g.max_degree + 1))
     return max(1, _greedy_clique(g), ball)
-
-
-def _search_order(g: Graph) -> list[int]:
-    """The order in which the search assigns vertices: descending degree, then id."""
-    return sorted(range(g.n), key=lambda v: (-g.adj[v].bit_count(), v))
 
 
 def _search(g: Graph, k: int, budget: int) -> tuple[tuple[int, ...] | None, int]:
@@ -117,7 +115,6 @@ def _search(g: Graph, k: int, budget: int) -> tuple[tuple[int, ...] | None, int]
         remaining_mask[idx] = remaining_mask[idx + 1] | (1 << order[idx])
         ball[idx] = adj[order[idx]].bit_count() + 1
 
-    members = [0] * k
     doms = [0] * k
     allowed = [0] * k
     assignment = [0] * n
@@ -170,7 +167,6 @@ def _search(g: Graph, k: int, budget: int) -> tuple[tuple[int, ...] | None, int]
         u = order[idx]
         cu = closed[u]
         au = adj[u]
-        ubit = 1 << u
         rem = n - idx - 1
 
         if opened + rem >= k:
@@ -182,24 +178,20 @@ def _search(g: Graph, k: int, budget: int) -> tuple[tuple[int, ...] | None, int]
                     continue
                 old_d = doms[i]
                 old_a = allowed[i]
-                members[i] |= ubit
                 doms[i] = nd
                 allowed[i] = old_a & ~au
                 assignment[u] = i
                 if rec(idx + 1, opened):
                     return True
-                members[i] ^= ubit
                 doms[i] = old_d
                 allowed[i] = old_a
 
         if opened < k and opened + 1 + rem >= k:
-            members[opened] = ubit
             doms[opened] = cu
             allowed[opened] = full & ~au
             assignment[u] = opened
             if rec(idx + 1, opened + 1):
                 return True
-            members[opened] = 0
             doms[opened] = 0
             allowed[opened] = 0
 
@@ -244,7 +236,6 @@ def chi_dd_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """
     _require_connected(g)
     _require_budget(budget)
-    start = time.perf_counter()
     total = 0
     k = _lower_bound(g)
     while k <= g.n:
@@ -258,7 +249,6 @@ def chi_dd_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
                 lower=k,
                 upper=g.n,
                 nodes=total + exc.nodes,
-                elapsed=time.perf_counter() - start,
             )
         total += used
         if assignment is not None:
@@ -269,7 +259,6 @@ def chi_dd_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
                 lower=k,
                 upper=k,
                 nodes=total,
-                elapsed=time.perf_counter() - start,
             )
         k += 1
     raise AssertionError(
@@ -317,22 +306,12 @@ def chi_dd_oracle(g: Graph) -> int:
     raise AssertionError("unreachable: all-singletons always qualifies")
 
 
-_PATH_CHI: dict[int, int] = {}
-
-
-def path_chi_dd(k: int, cache: dict[int, int] | None = None) -> int:
-    """Memoized chi_dd of the path on k vertices; P_1 -> 1.
-
-    The memo is insert-only and idempotent, so sharing it across
-    concurrent solves is safe.
-    """
+@lru_cache(maxsize=None)
+def path_chi_dd(k: int) -> int:
+    """Memoized chi_dd of the path on k vertices; P_1 -> 1."""
     if k < 1:
         raise ValueError("path order must be at least 1")
-    memo = _PATH_CHI if cache is None else cache
-    value = memo.get(k)
-    if value is None:
-        result = chi_dd_exact(make_named("path", k))
-        if result.chi_dd is None:
-            raise RuntimeError(f"chi_dd of the path on {k} vertices is undecided: {result.status}")
-        value = memo[k] = result.chi_dd
-    return value
+    result = chi_dd_exact(make_named("path", k))
+    if result.chi_dd is None:
+        raise RuntimeError(f"chi_dd of the path on {k} vertices is undecided: {result.status}")
+    return result.chi_dd

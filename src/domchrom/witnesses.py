@@ -80,13 +80,10 @@ def _operated(kind: str, g: Graph, params, h: Graph | None) -> Graph:
 
 @dataclass(frozen=True)
 class GapReport:
-    """Why a constructed coloring failed: which condition, at which proof case."""
+    """Why a constructed coloring failed: which condition, against which color budget."""
 
-    kind: str
-    case: str
     reason: str  # "definition", "over_budget", or "definition+over_budget"
     diagnostic: DominationDiagnostic | None
-    colors_used: int
     budget: int
 
 
@@ -105,7 +102,7 @@ def _require_dom(g: Graph, c: Coloring, role: str) -> None:
         raise ValueError(f"{role} is not a domination coloring: {diag}")
 
 
-def _outcome(kind: str, case: str, target: Graph, coloring: Coloring, budget: int) -> WitnessOutcome:
+def _outcome(case: str, target: Graph, coloring: Coloring, budget: int) -> WitnessOutcome:
     ok, diag = is_domination_coloring(target, coloring)
     used = coloring.class_count
     over = used > budget
@@ -114,12 +111,12 @@ def _outcome(kind: str, case: str, target: Graph, coloring: Coloring, budget: in
     reason = "+".join(
         part for part, hit in (("definition", not ok), ("over_budget", over)) if hit
     )
-    report = GapReport(kind, case, reason, None if ok else diag, used, budget)
+    report = GapReport(reason, None if ok else diag, budget)
     return WitnessOutcome("gap", coloring, used, case, report)
 
 
 def _recolor(
-    kind: str, case: str, target: Graph, base: Coloring, vmap, fresh, extra: int, forward: bool = False
+    case: str, target: Graph, base: Coloring, vmap, fresh, extra: int, forward: bool = False
 ) -> WitnessOutcome:
     """Keep the base colors across ``vmap``, give each vertex of ``fresh``
     (target ids, in order) a new color of its own, and judge the result
@@ -139,7 +136,7 @@ def _recolor(
         assign = [None if w is None else colors[w] for w in vmap]
     for color, w in enumerate(fresh, base.class_count):
         assign[w] = color
-    return _outcome(kind, case, target, Coloring(assign), base.class_count + extra)
+    return _outcome(case, target, Coloring(assign), base.class_count + extra)
 
 
 def extend_witness(kind: str, g: Graph, params, base: Coloring, h: Graph | None = None) -> WitnessOutcome:
@@ -148,7 +145,7 @@ def extend_witness(kind: str, g: Graph, params, base: Coloring, h: Graph | None 
         v = params
         require_removable(g, v)
         _require_dom(_operated(kind, g, v, h), base, "base coloring of G - v")
-        return _recolor(kind, "main", g, base, removal_index_map(g.n, v), [v], 1)
+        return _recolor("main", g, base, removal_index_map(g.n, v), [v], 1)
 
     if kind == "add_edge":
         u, v = sorted(params)
@@ -156,8 +153,8 @@ def extend_witness(kind: str, g: Graph, params, base: Coloring, h: Graph | None 
         _require_dom(_operated(kind, g, (u, v), h), base, "base coloring of G - e")
         if base.assignment[u] == base.assignment[v]:
             # the smaller endpoint takes the fresh color
-            return _recolor(kind, "same_color", g, base, range(g.n), [u], 1)
-        return _recolor(kind, "distinct_colors", g, base, range(g.n), [], 0)
+            return _recolor("same_color", g, base, range(g.n), [u], 1)
+        return _recolor("distinct_colors", g, base, range(g.n), [], 0)
 
     if kind in ("contract_edge", "contract_vertices"):
         u, v = params
@@ -165,23 +162,24 @@ def extend_witness(kind: str, g: Graph, params, base: Coloring, h: Graph | None 
         target = _operated(kind, g, (u, v), h)
         _require_dom(g, base, "base coloring of G")
         imap = contraction_index_map(g.n, u, v)
-        return _recolor(kind, "main", target, base, imap, [imap[u]], 1, forward=True)
+        return _recolor("main", target, base, imap, [imap[u]], 1, forward=True)
 
     if kind == "cycle_extend":
         cyc: CycleSpec = params
         cyc.validate(g)
         target = _operated(kind, g, cyc, h)
         _require_dom(g, base, "base coloring of G")
-        return _recolor(kind, "main", target, base, range(g.n), [g.n], 1, forward=True)
+        return _recolor("main", target, base, range(g.n), [g.n], 1, forward=True)
 
     raise ValueError(f"unknown extend kind {kind!r}; expected one of {EXTEND_KINDS}")
 
 
-def _classes_dominated_only_by(g: Graph, c: Coloring, v: int) -> int:
-    """Bitset of vertices lying in classes whose sole dominator is v."""
+def _classes_dominated_only_by(c: Coloring, doms: list[int], v: int) -> int:
+    """Bitset of vertices lying in classes whose sole dominator is v, given
+    the dominator mask of each class of ``c``."""
     vbit = 1 << v
     flagged = 0
-    for members, dom in zip(c.classes, _dominator_masks(g, c)):
+    for members, dom in zip(c.classes, doms):
         if dom == vbit:
             flagged |= members
     return flagged & ~vbit
@@ -197,9 +195,10 @@ def reduce_witness(kind: str, g: Graph, params, base: Coloring, h: Graph | None 
         _require_dom(g, base, "base coloring of G")
         case = "case1" if base.classes[base.assignment[v]] != (1 << v) else "case2"
         imap = removal_index_map(g.n, v)
-        fresh = [imap[w] for w in iter_bits(_classes_dominated_only_by(g, base, v))]
+        doms = _dominator_masks(g, base)
+        fresh = [imap[w] for w in iter_bits(_classes_dominated_only_by(base, doms, v))]
         target = _operated(kind, g, v, h)
-        return _recolor(kind, case, target, base, imap, fresh, g.degree(v) - 1, forward=True)
+        return _recolor(case, target, base, imap, fresh, g.degree(v) - 1, forward=True)
 
     if kind == "remove_edge":
         u, v = sorted(params)
@@ -220,7 +219,7 @@ def reduce_witness(kind: str, g: Graph, params, base: Coloring, h: Graph | None 
         else:
             case, fresh = "case1", []
         target = _operated(kind, g, (u, v), h)
-        return _recolor(kind, case, target, base, range(g.n), fresh, 2)
+        return _recolor(case, target, base, range(g.n), fresh, 2)
 
     if kind == "uncontract":
         u, v = params
@@ -229,7 +228,7 @@ def reduce_witness(kind: str, g: Graph, params, base: Coloring, h: Graph | None 
         g.has_edge(u, v)  # raises on a vertex out of range
         source = _operated(kind, g, (u, v), h)
         _require_dom(source, base, "base coloring of the contracted graph")
-        return _recolor(kind, "main", g, base, contraction_index_map(g.n, u, v), [u, v], 2)
+        return _recolor("main", g, base, contraction_index_map(g.n, u, v), [u, v], 2)
 
     if kind == "remove_hub":
         cyc: CycleSpec = params
@@ -239,16 +238,16 @@ def reduce_witness(kind: str, g: Graph, params, base: Coloring, h: Graph | None 
         hub = g.n
         i = base.assignment[hub]
         case = "case1" if base.classes[i] == (1 << hub) else "case2"
-        flagged = _classes_dominated_only_by(source, base, hub)
+        doms = _dominator_masks(source, base)
+        flagged = _classes_dominated_only_by(base, doms, hub)
         if case == "case1":
-            # vertices whose only dominated class is the hub's singleton
-            doms = _dominator_masks(source, base)
-            for w in range(g.n):
-                mine = [t for t, d in enumerate(doms) if (d >> w) & 1]
-                if mine == [i]:
-                    flagged |= 1 << w
+            # vertices of G whose only dominated class is the hub's singleton
+            others = 0
+            for d in doms[:i] + doms[i + 1:]:
+                others |= d
+            flagged |= doms[i] & ~others & ~(1 << hub)
         # the proof caps the fresh colors at the cycle length
         fresh = list(iter_bits(flagged))[: cyc.length]
-        return _recolor(kind, case, g, base, range(g.n), fresh, cyc.length)
+        return _recolor(case, g, base, range(g.n), fresh, cyc.length)
 
     raise ValueError(f"unknown reduce kind {kind!r}; expected one of {REDUCE_KINDS}")

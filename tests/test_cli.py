@@ -243,6 +243,7 @@ def test_verify_rejects_configs_that_check_nothing(monkeypatch):
         (["--theorems", "5", "--k-range", "0,1"], "--k-range LO must be at least 2, got '0,1'"),
         (["--theorems", "6", "--cycle-cap", "-1"], "--cycle-cap must be at least 3, got -1"),
         (["--theorems", "6", "--cycle-cap", "2"], "--cycle-cap must be at least 3, got 2"),
+        (["--theorems", "5", "--subdivided-cap", "2"], "--subdivided-cap must be at least 3, got 2"),
     ):
         code, out, err = run_cli(["verify", "--n-max", "3", *flags])
         assert (code, out) == (2, "")
@@ -298,6 +299,16 @@ def test_solve_rejects_disconnected_graph():
     code, _, err = run_cli(["solve", "B?"])  # empty graph on 3 vertices
     assert code == 2
     assert "connected" in err
+
+
+def test_verify_rejects_disconnected_input_graph():
+    # every theorem set, serial or in workers, refuses the graph by name
+    for theorems in ("5", "1"):
+        for workers in ("1", "2"):
+            argv = ["verify", "-i", "-", "--theorems", theorems, "--workers", workers]
+            code, out, err = run_cli(argv, stdin_text=f"{C4}\nB?\n")
+            assert (code, out) == (2, "")
+            assert err == "domchrom: error: graph B? is not connected; the theorems are about connected graphs\n"
 
 
 def test_outputs_are_pure_functions_of_argv():

@@ -24,6 +24,9 @@ CASES = [
     ("verify_n4.text", ["--n-max", "4", "--format", "text"]),
     ("verify_n4.json", ["--n-max", "4", "--format", "json"]),
     ("verify_n4.csv", ["--n-max", "4", "--format", "csv"]),
+    # two workers print the serial captures (the json one records the worker count)
+    ("verify_n4.text", ["--n-max", "4", "--workers", "2", "--format", "text"]),
+    ("verify_n4.csv", ["--n-max", "4", "--workers", "2", "--format", "csv"]),
 ]
 
 C4, K4, P4, K2 = "Cl", "C~", "Ch", "A_"
@@ -100,7 +103,9 @@ def capture(argv, stdin_text) -> bytes:
     return f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}".encode("ascii")
 
 
-@pytest.mark.parametrize("name,args", CASES, ids=[name for name, _ in CASES])
+@pytest.mark.parametrize(
+    "name,args", CASES, ids=[name + "-workers2" * ("--workers" in args) for name, args in CASES]
+)
 def test_verify_output_matches_golden(name, args):
     out = io.StringIO()
     code = main(["verify", *args], stdout=out, stderr=io.StringIO())

@@ -1,5 +1,6 @@
 import pytest
 
+from domchrom import harness
 from domchrom.graph import CycleSpec, enumerate_connected_graphs, make_named
 from domchrom.harness import (
     GAP_EXAMPLE_CAP,
@@ -67,6 +68,23 @@ def test_check_theorem_rejects_bad_instance():
         check_theorem(7, make_named("path", 3), 0)
 
 
+def test_malformed_instance_raises_before_any_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a malformed instance")
+
+    monkeypatch.setattr(harness, "chi_dd_exact", no_solve)
+    c4 = make_named("cycle", 4)
+    for theorem, instance, message in [
+        (1, 9, "vertex 9 out of range for order 4"),
+        (2, (0, 2), r"\(0,2\) is not an edge"),
+        (3, (2, 0), r"\(0,2\) is not an edge; use contract_vertices"),
+        (4, (1, 1), "cannot contract a vertex with itself"),
+        (6, CycleSpec((0, 2, 1)), "consecutive cycle vertices 0 and 2 are not adjacent"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            check_theorem(theorem, c4, instance, config=HarnessConfig(budget=1))
+
+
 def test_theorem_instance_domains():
     g = make_named("path", 3)
     assert list(theorem_instances(1, g, HarnessConfig())) == [0, 1, 2]
@@ -106,10 +124,9 @@ def test_run_corpus_small_all_theorems():
 
 
 def test_run_corpus_empty_theorem_set():
-    report = run_corpus(enumerate_connected_graphs(3), HarnessConfig(theorems=()), "n=3")
-    assert report.per_theorem == {}
-    assert report.graphs == 4
-    assert report.ok
+    # a run that checks no theorem would read ok, so the config is refused
+    with pytest.raises(ValueError, match="no theorem to check"):
+        run_corpus(enumerate_connected_graphs(3), HarnessConfig(theorems=()), "n=3")
 
 
 def test_run_corpus_rejects_repeated_theorem_ids():
@@ -123,6 +140,9 @@ def test_harness_config_rejects_bad_values():
         ({"workers": 0}, "workers must be at least 1"),
         ({"budget": 0}, "budget must be a positive node count"),
         ({"theorems": (3, 1, 3)}, "theorem ids repeat in 3,1,3"),
+        ({"theorems": ()}, "no theorem to check"),
+        ({"theorems": (9,)}, "unknown theorem id 9; expected 1..6"),
+        ({"theorems": (1, 0)}, "unknown theorem id 0; expected 1..6"),
     ]:
         with pytest.raises(ValueError, match=message):
             HarnessConfig(**kwargs)

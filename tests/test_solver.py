@@ -186,9 +186,12 @@ def test_path_chi_dd_examples_and_memo():
     assert path_chi_dd(2) == 2
     assert path_chi_dd(3) == 2
     assert path_chi_dd(4) == 3
-    cache: dict[int, int] = {}
-    assert path_chi_dd(5, cache) == chi_dd_oracle(make_named("path", 5))
-    assert 5 in cache and cache[5] == path_chi_dd(5)
+    path_chi_dd.cache_clear()
+    value = path_chi_dd(5)
+    assert value == chi_dd_oracle(make_named("path", 5))
+    assert path_chi_dd(5) == value
+    info = path_chi_dd.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 def test_solver_rejects_disconnected():
@@ -225,8 +228,9 @@ solver._search = search
 harness.chi_dd_oracle = lambda g: 99
 expect_runtime_error("oracle cross-check", lambda: harness.check_theorem(5, make_named("complete", 2), 2))
 
-solver.chi_dd_exact = lambda g, budget=0: solver.SolveResult(None, None, "unknown", 1, g.n, 0, 0.0)
-expect_runtime_error("path_chi_dd", lambda: solver.path_chi_dd(5, cache={}))
+solver.chi_dd_exact = lambda g, budget=0: solver.SolveResult(None, None, "unknown", 1, g.n, 0)
+solver.path_chi_dd.cache_clear()
+expect_runtime_error("path_chi_dd", lambda: solver.path_chi_dd(5))
 '''
 
 
