@@ -37,12 +37,12 @@ class Graph:
     ``adj[v]`` is the open-neighborhood bitset of ``v``; ``closed[v]``
     additionally contains ``v`` itself.  Construction validates symmetry
     and loop-freeness, so any reachable instance is a simple graph.
-    Because it never changes, :func:`to_graph6` and the cut structure
-    behind :func:`cut_vertices`/:func:`bridges` are computed once per
-    instance and kept in the two memo slots.
+    Because it never changes, :func:`to_graph6`, :func:`is_connected` and
+    the cut structure behind :func:`cut_vertices`/:func:`bridges` are
+    computed once per instance and kept in the three memo slots.
     """
 
-    __slots__ = ("n", "m", "adj", "closed", "_graph6", "_cut_structure")
+    __slots__ = ("n", "m", "adj", "closed", "_graph6", "_connected", "_cut_structure")
 
     def __init__(self, n: int, neighbor_masks: Sequence[int]):
         masks = tuple(neighbor_masks)
@@ -67,6 +67,7 @@ class Graph:
         self.adj = masks
         self.closed = tuple(mask | (1 << v) for v, mask in enumerate(masks))
         self._graph6: str | None = None
+        self._connected: bool | None = None
         self._cut_structure: tuple[frozenset[int], frozenset[tuple[int, int]]] | None = None
 
     def degree(self, v: int) -> int:
@@ -236,7 +237,9 @@ def to_graph6(g: Graph) -> str:
 
 
 def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability of every vertex from vertex 0."""
+    """Breadth-first reachability of every vertex from vertex 0, memoized on ``g``."""
+    if g._connected is not None:
+        return g._connected
     full = (1 << g.n) - 1
     reach = 1
     frontier = 1
@@ -247,7 +250,8 @@ def is_connected(g: Graph) -> bool:
             nxt |= adj[v]
         frontier = nxt & ~reach
         reach |= frontier
-    return reach == full
+    g._connected = reach == full
+    return g._connected
 
 
 def _lowpoint(g: Graph, caller: str) -> tuple[frozenset[int], frozenset[tuple[int, int]]]:

@@ -70,6 +70,20 @@ class HarnessConfig:
         if len(set(self.theorems)) != len(self.theorems):
             # each instance of a repeated theorem would be counted twice
             raise ValueError(f"theorem ids repeat in {','.join(map(str, self.theorems))}")
+        # A k below 2 is always skipped, and no graph's subdivision or cycle
+        # fits a cap below 3, so theorem 5 or 6 would check nothing; a
+        # repeated k would count its instances twice.
+        if not self.k_values:
+            raise ValueError("k_values is empty; theorem 5 would check no subdivision")
+        if min(self.k_values) < 2:
+            raise ValueError(f"k_values must be at least 2, got {','.join(map(str, self.k_values))}")
+        if len(set(self.k_values)) != len(self.k_values):
+            raise ValueError(f"k_values repeat in {','.join(map(str, self.k_values))}")
+        if self.subdivided_cap < 3:
+            # the smallest subdivided graph, K2 at k=2, has order 3
+            raise ValueError(f"subdivided_cap must be at least 3, got {self.subdivided_cap}")
+        if self.cycle_cap < 3:
+            raise ValueError(f"cycle_cap must be at least 3, got {self.cycle_cap}")
 
 
 @dataclass(frozen=True)
@@ -228,6 +242,12 @@ _SPECS = {
 }
 
 
+def _require_connected(g: Graph) -> None:
+    # is_connected is memoized on g, so a corpus run traverses each graph once
+    if not is_connected(g):
+        raise ValueError(f"graph {to_graph6(g)} is not connected; the theorems are about connected graphs")
+
+
 def _spec(theorem: int) -> _Spec:
     spec = _SPECS.get(theorem)
     if spec is None:
@@ -245,12 +265,14 @@ def check_theorem(
 ) -> Union[TheoremCheck, SkippedCheck]:
     """Verify one theorem instance; hypothesis violations come back as skips.
 
-    H is built before either solve, so a malformed instance raises the
+    A disconnected ``g`` raises ValueError naming the graph, and H is
+    built before either solve, so a malformed instance raises the
     operation's ValueError whatever the budget.
     ``cache`` maps graph6 to exact solves and may be shared across calls;
     without one, the call solves from scratch.
     """
     spec = _spec(theorem)
+    _require_connected(g)
     config = config or HarnessConfig()
     cache = {} if cache is None else cache
     g6 = to_graph6(g)
@@ -474,8 +496,7 @@ class CorpusReport:
 def _check_graph(
     g: Graph, config: HarnessConfig, cache: dict[str, SolveResult], stats: dict[int, TheoremStats]
 ) -> None:
-    if not is_connected(g):
-        raise ValueError(f"graph {to_graph6(g)} is not connected; the theorems are about connected graphs")
+    _require_connected(g)  # also for a graph no theorem has an instance on
     for theorem in config.theorems:
         for instance in theorem_instances(theorem, g, config):
             stats[theorem].add(check_theorem(theorem, g, instance, config=config, cache=cache))

@@ -22,7 +22,12 @@ drive the pruning:
 Every cut removes only subtrees that hold no solution, so the first
 coloring found is the first in search order whatever the bounds.
 
-The oracle ignores all of that and scans every set partition.
+The oracle ignores all of that and scans every set partition, by class
+count and then in restricted-growth order.  It judges each partition
+through a per-graph table, built once per call, of the vertices that
+dominate each independent vertex subset; the table shares no code with
+the search, and the definitional checker confirms the partition the
+oracle returns.
 """
 
 from __future__ import annotations
@@ -290,18 +295,56 @@ def _partition_colorings(n: int) -> tuple[tuple[Coloring, ...], ...]:
     return tuple(tuple(group) for group in by_k)
 
 
+def _dominator_table(g: Graph) -> list[int]:
+    """``dom[S]`` for every vertex subset S (a bitset index): the vertices
+    whose closed neighborhood contains S if S is independent, else 0.
+
+    Built by removing the lowest vertex v of S: ``dom[S] = dom[S - v] &
+    N[v]`` when v has no neighbor in S - v, and 0 otherwise.
+    """
+    adj = g.adj
+    closed = g.closed
+    dom = [(1 << g.n) - 1]
+    for s in range(1, 1 << g.n):
+        low = s & -s
+        rest = s ^ low
+        v = low.bit_length() - 1
+        dom.append(0 if adj[v] & rest else dom[rest] & closed[v])
+    return dom
+
+
 def chi_dd_oracle(g: Graph) -> int:
     """Minimum class count by scanning all set partitions of the vertex set.
 
-    Shares nothing with the backtracking search beyond the definitional
-    checker, which is what makes it a usable correctness oracle.
+    Each partition is judged through :func:`_dominator_table`: every class
+    must be independent and dominated (a nonzero entry) and the union of
+    the entries must be the whole vertex set, so every vertex dominates a
+    class.  The first partition that qualifies is confirmed with
+    ``is_domination_coloring``; a disagreement raises RuntimeError.
+    Shares nothing with the backtracking search beyond that checker,
+    which is what makes it a usable correctness oracle.
     """
     _require_connected(g)
     if g.n > ORACLE_MAX_ORDER:
         raise ValueError(f"oracle guard: supports n <= {ORACLE_MAX_ORDER}, got {g.n}")
+    dom = _dominator_table(g)
+    full = (1 << g.n) - 1
     for group in _partition_colorings(g.n):
         for c in group:
-            if is_domination_coloring(g, c)[0]:
+            cover = 0
+            for members in c.classes:
+                d = dom[members]
+                if not d:
+                    break
+                cover |= d
+            else:
+                if cover != full:
+                    continue
+                ok, diag = is_domination_coloring(g, c)
+                if not ok:
+                    raise RuntimeError(
+                        f"oracle's subset table accepts {c.to_text()}, which the checker rejects: {diag}"
+                    )
                 return c.class_count
     raise AssertionError("unreachable: all-singletons always qualifies")
 

@@ -102,9 +102,14 @@ def test_graph6_round_trip_small_corpus():
 
 
 def test_is_connected():
-    assert is_connected(make_named("path", 4))
-    assert is_connected(make_named("complete", 1))
-    assert not is_connected(from_edges(3, [(0, 1)]))
+    # memoized on the graph: asked twice, each graph gives the same answer
+    for g, connected in [
+        (make_named("path", 4), True),
+        (make_named("complete", 1), True),
+        (from_edges(3, [(0, 1)]), False),
+    ]:
+        assert is_connected(g) is connected
+        assert is_connected(g) is connected
 
 
 def test_cut_vertices_examples():

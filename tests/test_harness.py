@@ -1,7 +1,7 @@
 import pytest
 
 from domchrom import harness
-from domchrom.graph import CycleSpec, enumerate_connected_graphs, make_named
+from domchrom.graph import CycleSpec, enumerate_connected_graphs, from_edges, make_named
 from domchrom.harness import (
     GAP_EXAMPLE_CAP,
     CorpusReport,
@@ -85,6 +85,22 @@ def test_malformed_instance_raises_before_any_solve(monkeypatch):
             check_theorem(theorem, c4, instance, config=HarnessConfig(budget=1))
 
 
+@pytest.mark.parametrize(
+    "theorem, instance",
+    [(1, 0), (2, (0, 1)), (3, (0, 1)), (4, (0, 3)), (5, 2), (6, CycleSpec((0, 1, 2)))],
+)
+def test_check_theorem_rejects_disconnected_graph_before_any_work(monkeypatch, theorem, instance):
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked on a disconnected graph")
+
+    for name in ("chi_dd_exact", "remove_vertex", "remove_edge", "contract_edge", "contract_vertices",
+                 "subdivide", "cycle_extend"):
+        monkeypatch.setattr(harness, name, no_work)
+    split = from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])  # a triangle and an edge
+    with pytest.raises(ValueError, match=r"^graph DwC is not connected; the theorems are about connected graphs$"):
+        check_theorem(theorem, split, instance)
+
+
 def test_theorem_instance_domains():
     g = make_named("path", 3)
     assert list(theorem_instances(1, g, HarnessConfig())) == [0, 1, 2]
@@ -143,6 +159,13 @@ def test_harness_config_rejects_bad_values():
         ({"theorems": ()}, "no theorem to check"),
         ({"theorems": (9,)}, "unknown theorem id 9; expected 1..6"),
         ({"theorems": (1, 0)}, "unknown theorem id 0; expected 1..6"),
+        ({"k_values": ()}, "k_values is empty"),
+        ({"k_values": (1, 2)}, "k_values must be at least 2, got 1,2"),
+        ({"k_values": (3, 0)}, "k_values must be at least 2, got 3,0"),
+        ({"k_values": (2, 3, 2)}, "k_values repeat in 2,3,2"),
+        ({"subdivided_cap": 2}, "subdivided_cap must be at least 3, got 2"),
+        ({"cycle_cap": 2}, "cycle_cap must be at least 3, got 2"),
+        ({"cycle_cap": -1}, "cycle_cap must be at least 3, got -1"),
     ]:
         with pytest.raises(ValueError, match=message):
             HarnessConfig(**kwargs)

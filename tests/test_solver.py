@@ -83,6 +83,47 @@ def test_chi_dd_oracle_examples():
         chi_dd_oracle(from_edges(2, []))
 
 
+def _table_corpus():
+    for n in range(1, 6):
+        yield from enumerate_connected_graphs(n)
+    for i, g in enumerate(enumerate_connected_graphs(6)):
+        if i % 50 == 0:
+            yield g
+    for n in (7, 8):
+        for name in ("path", "cycle", "complete"):
+            yield make_named(name, n)
+        yield make_named("star", n - 1)  # hub and n - 1 leaves
+
+
+def _table_verdict(dom, c, n):
+    """The oracle's rule: every class has a nonzero entry, and the entries cover V."""
+    cover = 0
+    for members in c.classes:
+        if not dom[members]:
+            return False
+        cover |= dom[members]
+    return cover == (1 << n) - 1
+
+
+def test_dominator_table_agrees_with_checker_on_every_partition():
+    checked = 0
+    for g in _table_corpus():
+        dom = solver._dominator_table(g)
+        assert len(dom) == 1 << g.n
+        for group in solver._partition_colorings(g.n):
+            for c in group:
+                assert _table_verdict(dom, c, g.n) == is_domination_coloring(g, c)[0], (g.adj, c)
+                checked += 1
+    # (connected graphs x Bell(n)) for n<=5, every 50th n=6 graph, 4 named graphs of order 7 and 8
+    assert checked == 1 * 1 + 1 * 2 + 4 * 5 + 38 * 15 + 728 * 52 + 535 * 203 + 4 * (877 + 4140)
+
+
+def test_oracle_confirms_its_answer_with_the_checker(monkeypatch):
+    monkeypatch.setattr(solver, "is_domination_coloring", lambda g, c: (False, None))
+    with pytest.raises(RuntimeError, match="checker rejects"):
+        chi_dd_oracle(make_named("cycle", 4))
+
+
 def test_witness_is_always_valid_and_minimal():
     for n in range(1, 6):
         for g in enumerate_connected_graphs(n):
@@ -225,6 +266,11 @@ expect_runtime_error("find_domination_coloring", lambda: solver.find_domination_
 expect_runtime_error("chi_dd_exact", lambda: solver.chi_dd_exact(c4))
 solver._search = search
 
+check = solver.is_domination_coloring
+solver.is_domination_coloring = lambda g, c: (False, None)  # rejects every coloring
+expect_runtime_error("chi_dd_oracle", lambda: solver.chi_dd_oracle(c4))
+solver.is_domination_coloring = check
+
 harness.chi_dd_oracle = lambda g: 99
 expect_runtime_error("oracle cross-check", lambda: harness.check_theorem(5, make_named("complete", 2), 2))
 
@@ -241,7 +287,7 @@ def test_checks_survive_python_O():
         [sys.executable, "-O", "-c", _PLANTED_FAULTS], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert len(proc.stdout.splitlines()) == 4, proc.stdout
+    assert len(proc.stdout.splitlines()) == 5, proc.stdout
 
 
 def test_package_has_no_assert_statements():
