@@ -356,24 +356,12 @@ def _cmd_witness(args, stdin, stdout, stderr) -> int:
 
 
 def _cmd_verify(args, stdin, stdout, stderr) -> int:
-    # A configuration that checks no instance would report "ok"; reject it.
-    theorems = tuple(_parse_ints(args.theorems, "--theorems"))
-    if not theorems or not all(1 <= t <= 6 for t in theorems):
-        raise _UsageError(f"--theorems must name theorems 1..6, got {args.theorems!r}")
     krange = _parse_ints(args.k_range, "--k-range")
     if len(krange) != 2 or krange[0] > krange[1]:
         raise _UsageError(f"--k-range expects LO,HI with LO <= HI, got {args.k_range!r}")
-    if krange[0] < 2:
-        raise _UsageError(f"--k-range LO must be at least 2, got {args.k_range!r}")
-    if args.cycle_cap < 3:
-        raise _UsageError(f"--cycle-cap must be at least 3, got {args.cycle_cap}")
-    if args.subdivided_cap < 3:
-        # the smallest subdivided graph, K2 at k=2, has order 3
-        raise _UsageError(f"--subdivided-cap must be at least 3, got {args.subdivided_cap}")
-    if args.workers < 1:
-        raise _UsageError(f"--workers must be at least 1, got {args.workers}")
+    # HarnessConfig rejects a configuration that would check nothing
     config = HarnessConfig(
-        theorems=theorems,
+        theorems=tuple(_parse_ints(args.theorems, "--theorems")),
         k_values=tuple(range(krange[0], krange[1] + 1)),
         cycle_cap=args.cycle_cap,
         subdivided_cap=args.subdivided_cap,

@@ -104,16 +104,7 @@ def _check_length(g: Graph, c: Coloring) -> None:
 
 def is_proper(g: Graph, c: Coloring) -> bool:
     """True iff no edge joins two vertices of the same color."""
-    _check_length(g, c)
-    adj = g.adj
-    for members in c.classes:
-        rest = members
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if adj[low.bit_length() - 1] & members:
-                return False
-    return True
+    return not is_domination_coloring(g, c)[1].improper_edges
 
 
 def _dominator_masks(g: Graph, c: Coloring) -> list[int]:
@@ -138,11 +129,7 @@ def dominators_of_class(g: Graph, c: Coloring, i: int) -> set[int]:
     _check_length(g, c)
     if not 0 <= i < c.class_count:
         raise ValueError(f"class index {i} out of range for {c.class_count} classes")
-    closed = g.closed
-    d = (1 << g.n) - 1
-    for v in iter_bits(c.classes[i]):
-        d &= closed[v]
-    return set(iter_bits(d))
+    return set(iter_bits(_dominator_masks(g, c)[i]))
 
 
 def classes_dominated_by(g: Graph, c: Coloring, v: int) -> set[int]:

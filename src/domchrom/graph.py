@@ -318,7 +318,6 @@ def enumerate_cycles(g: Graph, max_len: int) -> list[CycleSpec]:
 
     for s in range(g.n):
         above = -1 << (s + 1)  # vertices strictly greater than s
-        path = [s]
 
         def extend(used: int) -> None:
             u = path[-1]

@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Union
 
 from .graph import (
+    GRAPH6_MAX_ORDER,
     Graph,
     bridges,
     cut_vertices,
@@ -82,6 +83,9 @@ class HarnessConfig:
         if self.subdivided_cap < 3:
             # the smallest subdivided graph, K2 at k=2, has order 3
             raise ValueError(f"subdivided_cap must be at least 3, got {self.subdivided_cap}")
+        if self.subdivided_cap > GRAPH6_MAX_ORDER:
+            # the solve cache keys graphs by graph6
+            raise ValueError(f"subdivided_cap must be at most {GRAPH6_MAX_ORDER}, got {self.subdivided_cap}")
         if self.cycle_cap < 3:
             raise ValueError(f"cycle_cap must be at least 3, got {self.cycle_cap}")
 
@@ -172,10 +176,6 @@ def _removable_edge(g: Graph, e: tuple[int, int], config: HarnessConfig) -> str 
     return "bridge" if e in bridges(g) else None
 
 
-def _contractible_pair(g: Graph, e: tuple[int, int], config: HarnessConfig) -> str | None:
-    return "adjacent pair" if e[0] != e[1] and g.has_edge(*e) else None
-
-
 def _subdividable(g: Graph, k: int, config: HarnessConfig) -> str | None:
     if k < 2:
         return "k < 2"
@@ -219,7 +219,6 @@ _SPECS = {
     4: _Spec(
         instances=lambda g, config: [(u, v) for v in range(g.n) for u in range(v) if not (g.adj[u] >> v) & 1],
         label=lambda e: f"uv={e[0]}-{e[1]}",
-        hypothesis=_contractible_pair,
         apply=lambda g, e: contract_vertices(g, *e),
         bounds=lambda chi, g, e: (chi - 2, chi + 1),
         witnesses=(("contract_vertices", "G"), ("uncontract", "H")),

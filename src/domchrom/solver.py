@@ -138,13 +138,6 @@ def _search(g: Graph, k: int, budget: int) -> tuple[tuple[int, ...] | None, int]
         if opened == k:
             if uncov:
                 return False
-            unassigned = remaining_mask[idx]
-            if unassigned:
-                fit = 0
-                for i in range(k):
-                    fit |= allowed[i]
-                if unassigned & ~fit:
-                    return False
         else:
             free = k - opened
             count = uncov.bit_count()

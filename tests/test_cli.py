@@ -72,7 +72,7 @@ def test_verify_rejects_non_positive_workers():
     for workers in ("0", "-1"):
         code, out, err = run_cli(["verify", "--n-max", "3", "--theorems", "1", "--workers", workers])
         assert code == 2 and out == ""
-        assert "--workers must be at least 1" in err
+        assert err == f"domchrom: error: workers must be at least 1, got {workers}\n"
 
 
 def test_check_valid_and_invalid():
@@ -239,11 +239,12 @@ def test_verify_rejects_configs_that_check_nothing(monkeypatch):
     monkeypatch.setattr(cli, "corpus_up_to", no_work)
     monkeypatch.setattr(cli, "run_corpus", no_work)
     for flags, message in (
-        (["--theorems", ""], "--theorems must name theorems 1..6, got ''"),
-        (["--theorems", "5", "--k-range", "0,1"], "--k-range LO must be at least 2, got '0,1'"),
-        (["--theorems", "6", "--cycle-cap", "-1"], "--cycle-cap must be at least 3, got -1"),
-        (["--theorems", "6", "--cycle-cap", "2"], "--cycle-cap must be at least 3, got 2"),
-        (["--theorems", "5", "--subdivided-cap", "2"], "--subdivided-cap must be at least 3, got 2"),
+        (["--theorems", ""], "no theorem to check; a run would read ok vacuously"),
+        (["--theorems", "5", "--k-range", "0,1"], "k_values must be at least 2, got 0,1"),
+        (["--theorems", "6", "--cycle-cap", "-1"], "cycle_cap must be at least 3, got -1"),
+        (["--theorems", "6", "--cycle-cap", "2"], "cycle_cap must be at least 3, got 2"),
+        (["--theorems", "5", "--subdivided-cap", "2"], "subdivided_cap must be at least 3, got 2"),
+        (["--theorems", "5", "--subdivided-cap", "100"], "subdivided_cap must be at most 62, got 100"),
     ):
         code, out, err = run_cli(["verify", "--n-max", "3", *flags])
         assert (code, out) == (2, "")

@@ -79,6 +79,7 @@ def test_malformed_instance_raises_before_any_solve(monkeypatch):
         (2, (0, 2), r"\(0,2\) is not an edge"),
         (3, (2, 0), r"\(0,2\) is not an edge; use contract_vertices"),
         (4, (1, 1), "cannot contract a vertex with itself"),
+        (4, (0, 1), r"\(0,1\) is an edge; use contract_edge"),
         (6, CycleSpec((0, 2, 1)), "consecutive cycle vertices 0 and 2 are not adjacent"),
     ]:
         with pytest.raises(ValueError, match=message):
@@ -164,6 +165,7 @@ def test_harness_config_rejects_bad_values():
         ({"k_values": (3, 0)}, "k_values must be at least 2, got 3,0"),
         ({"k_values": (2, 3, 2)}, "k_values repeat in 2,3,2"),
         ({"subdivided_cap": 2}, "subdivided_cap must be at least 3, got 2"),
+        ({"subdivided_cap": 63}, "subdivided_cap must be at most 62, got 63"),
         ({"cycle_cap": 2}, "cycle_cap must be at least 3, got 2"),
         ({"cycle_cap": -1}, "cycle_cap must be at least 3, got -1"),
     ]:
