@@ -22,6 +22,7 @@ from .graph import (
     Graph,
     Graph6Error,
     bridges,
+    canonical_form,
     cut_vertices,
     enumerate_connected_graphs,
     enumerate_cycles,
@@ -94,6 +95,7 @@ __all__ = [
     "TheoremCheck",
     "WitnessOutcome",
     "bridges",
+    "canonical_form",
     "check_theorem",
     "chi_dd_exact",
     "chi_dd_oracle",

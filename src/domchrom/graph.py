@@ -236,6 +236,119 @@ def to_graph6(g: Graph) -> str:
     return g._graph6
 
 
+def _refine(adj: Sequence[int], cells: list[int]) -> list[int]:
+    """The coarsest equitable refinement of the ordered partition ``cells``
+    (vertex bitsets): split each cell by its vertices' neighbour counts in
+    every cell until no count tells two vertices of a cell apart.  Sub-cells
+    stay in place of their cell, ordered by those counts, so the result
+    commutes with relabeling."""
+    while True:
+        split: dict[tuple, int] = {}
+        for i, cell in enumerate(cells):
+            if not cell & (cell - 1):
+                split[(i,)] = cell  # a singleton cannot split
+                continue
+            for v in iter_bits(cell):
+                key = (i, *[(adj[v] & c).bit_count() for c in cells])
+                split[key] = split.get(key, 0) | 1 << v
+        if len(split) == len(cells):
+            return cells
+        cells = [split[key] for key in sorted(split)]
+
+
+def canonical_form(g: Graph) -> Graph:
+    """The relabeling of ``g`` that every graph isomorphic to ``g`` shares:
+    vertex i of the result is vertex ``_canonical_order(g)[i]`` of ``g``."""
+    return Graph(g.n, _relabeled(g.adj, _canonical_order(g)))
+
+
+def _relabeled(adj: Sequence[int], order: list[int]) -> tuple[int, ...]:
+    """The adjacency masks of the graph whose vertex i is vertex ``order[i]``."""
+    bit = [0] * len(order)
+    for i, v in enumerate(order):
+        bit[v] = 1 << i
+    masks = []
+    for v in order:
+        mask = 0
+        for u in iter_bits(adj[v]):
+            mask |= bit[u]
+        masks.append(mask)
+    return tuple(masks)
+
+
+def _canonical_order(g: Graph) -> list[int]:
+    """Individualization-refinement (McKay and Piperno, "Practical graph
+    isomorphism, II", 2014).
+
+    Starting from the degree partition, refined to an equitable one, each
+    vertex of the first non-singleton cell is individualized in turn and
+    the partition refined again, down to discrete partitions (leaves).  A
+    leaf orders the vertices; the canonical order is the leaf whose
+    relabeled adjacency masks are smallest.  Two leaves with equal masks
+    differ by an automorphism, which prunes the search: the rest of the
+    subtree that found it maps onto one already searched, and a child in
+    the orbit of a searched sibling, under the automorphisms found so far
+    that fix the path to both, is skipped.
+    """
+    adj = g.adj
+    automorphisms: list[list[int]] = []
+    first = best = None  # leaves as (masks, path, order)
+
+    def leaf(path: list[int], order: list[int]) -> int | None:
+        """Keep the leaf; on an automorphism, the depth whose current child is done."""
+        nonlocal first, best
+        code = _relabeled(adj, order)
+        for seen in (first, best):
+            if seen is not None and code == seen[0]:
+                # the tree commutes with automorphisms, so this one maps
+                # seen's path onto path and the subtree where they part
+                # onto an earlier sibling's
+                perm = [0] * g.n
+                for a, b in zip(seen[2], order):
+                    perm[a] = b
+                automorphisms.append(perm)
+                return next(d for d, (a, b) in enumerate(zip(seen[1], path)) if a != b)
+        if best is None or code < best[0]:
+            best = (code, path[:], order)
+            first = first or best
+        return None
+
+    def search(part: list[int], path: list[int]) -> int | None:
+        target = next((i for i, c in enumerate(part) if c & (c - 1)), None)
+        if target is None:
+            return leaf(path, [c.bit_length() - 1 for c in part])
+        cell = part[target]
+        searched = 0
+        for v in iter_bits(cell):
+            if _orbit(v, automorphisms, path) & searched:
+                continue
+            searched |= 1 << v
+            path.append(v)
+            child = [*part[:target], 1 << v, cell & ~(1 << v), *part[target + 1:]]
+            back = search(_refine(adj, child), path)
+            path.pop()
+            if back is not None and back < len(path):
+                return back
+        return None
+
+    search(_refine(adj, [(1 << g.n) - 1]), [])  # the first round splits by degree
+    return best[2]
+
+
+def _orbit(v: int, automorphisms: list[list[int]], fixed: list[int]) -> int:
+    """The orbit of ``v``, as a bitset, under the automorphisms that fix ``fixed`` pointwise."""
+    group = [p for p in automorphisms if all(p[u] == u for u in fixed)]
+    orbit = 1 << v
+    todo = [v]
+    while todo:
+        u = todo.pop()
+        for p in group:
+            if not (orbit >> p[u]) & 1:
+                orbit |= 1 << p[u]
+                todo.append(p[u])
+    return orbit
+
+
 def is_connected(g: Graph) -> bool:
     """Breadth-first reachability of every vertex from vertex 0, memoized on ``g``."""
     if g._connected is not None:

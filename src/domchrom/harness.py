@@ -6,6 +6,14 @@ vertex, bridge, order caps) become skip markers, and solver budget
 exhaustion is recorded as an unknown, never as a pass.  Proof-witness
 constructions are run alongside theorems 1-4 and 6 and their gap rates
 are aggregated per proof case.
+
+Theorem 5 subdivides the canonical form of G (:func:`canonical_form`),
+not G itself: chi_dd(S(G,k)) depends only on G's isomorphism class and
+no witness reads S(G,k)'s labels, so isomorphic instances share one
+graph6 key in the solve cache, and each theorem-5 outcome, an unknown
+under a tight budget included, follows (class of G, k).  Theorems 1-4
+and 6 keep labeled solves, because their witnesses start from a
+labeled chi_dd-coloring.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from .graph import (
     GRAPH6_MAX_ORDER,
     Graph,
     bridges,
+    canonical_form,
     cut_vertices,
     enumerate_connected_graphs,
     enumerate_cycles,
@@ -71,9 +80,10 @@ class HarnessConfig:
         if len(set(self.theorems)) != len(self.theorems):
             # each instance of a repeated theorem would be counted twice
             raise ValueError(f"theorem ids repeat in {','.join(map(str, self.theorems))}")
-        # A k below 2 is always skipped, and no graph's subdivision or cycle
-        # fits a cap below 3, so theorem 5 or 6 would check nothing; a
-        # repeated k would count its instances twice.
+        # A k below 2 is no theorem-5 instance (check_theorem raises on it),
+        # and no graph's subdivision or cycle fits a cap below 3, so theorem
+        # 5 or 6 would check nothing; a repeated k would count its
+        # instances twice.
         if not self.k_values:
             raise ValueError("k_values is empty; theorem 5 would check no subdivision")
         if min(self.k_values) < 2:
@@ -177,12 +187,17 @@ def _removable_edge(g: Graph, e: tuple[int, int], config: HarnessConfig) -> str 
 
 
 def _subdividable(g: Graph, k: int, config: HarnessConfig) -> str | None:
-    if k < 2:
-        return "k < 2"
     if g.m == 0:
         return "no edges"
     order = g.n + g.m * (k - 1)
     return f"subdivided order {order} above cap" if order > config.subdivided_cap else None
+
+
+def _subdivision(g: Graph, k: int) -> Graph:
+    # canonical, so isomorphic instances share a cache entry (module docstring)
+    if k < 2:
+        raise ValueError(f"theorem 5 subdivides each edge into a path of length k >= 2, got k={k}")
+    return subdivide(canonical_form(g), k)[0]
 
 
 def _cycles(g: Graph, config: HarnessConfig) -> list:
@@ -228,7 +243,7 @@ _SPECS = {
         instances=lambda g, config: config.k_values,
         label=lambda k: f"k={k}",
         hypothesis=_subdividable,
-        apply=lambda g, k: subdivide(g, k)[0],
+        apply=_subdivision,
         bounds=lambda chi, g, k: (path_chi_dd(k + 1), (g.m - 1) * path_chi_dd(k) + path_chi_dd(k + 1)),
     ),
     6: _Spec(

@@ -1,17 +1,24 @@
 import pickle
+import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domchrom.graph import (
     CycleSpec,
     Graph,
     Graph6Error,
+    _canonical_order,
     bridges,
+    canonical_form,
     cut_vertices,
     enumerate_connected_graphs,
     enumerate_cycles,
     from_edges,
     is_connected,
+    iter_bits,
     make_named,
     parse_graph6,
     to_graph6,
@@ -20,6 +27,8 @@ from domchrom.ops import remove_edge, remove_vertex
 
 # labeled connected graph counts for n = 1..6
 CONNECTED_COUNTS = [1, 1, 4, 38, 728, 26704]
+# connected graphs up to isomorphism for n = 1..6 (OEIS A001349)
+CONNECTED_CLASSES = [1, 1, 2, 6, 21, 112]
 
 
 def test_from_edges_k2():
@@ -265,3 +274,90 @@ def test_generator_guard():
         list(enumerate_connected_graphs(8))
     with pytest.raises(ValueError):
         list(enumerate_connected_graphs(0))
+
+
+def _permuted(g: Graph, perm) -> Graph:
+    """The graph whose vertex perm[v] is vertex v of g."""
+    return from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_canonical_form_finds_the_143_classes_up_to_n6_by_relabeling():
+    # one pass over the 27,476 graphs: a relabeling, shared by a fixed
+    # pseudo-random permutation of each graph, one per isomorphism class
+    rng = random.Random(2014)
+    for n, classes in enumerate(CONNECTED_CLASSES, start=1):
+        seen = set()
+        for g in enumerate_connected_graphs(n):
+            order = _canonical_order(g)
+            assert sorted(order) == list(range(n))
+            canon = canonical_form(g)
+            assert canon == _permuted(g, {v: i for i, v in enumerate(order)})
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert canonical_form(_permuted(g, perm)) == canon
+            seen.add(canon)
+        assert len(seen) == classes
+        assert all(canonical_form(canon) == canon for canon in seen)  # idempotent
+
+
+def _petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return from_edges(10, outer + inner + [(i, i + 5) for i in range(5)])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [make_named("star", 30), make_named("complete", 8), make_named("cycle", 31), _petersen()],
+    ids=["star31", "K8", "C31", "petersen"],
+)
+def test_canonical_form_returns_promptly_on_symmetric_graphs(g):
+    # without automorphism pruning the star of order 31 has 30! leaves
+    start = time.perf_counter()
+    canon = canonical_form(g)
+    assert time.perf_counter() - start < 2.0
+    assert canonical_form(_permuted(g, list(reversed(range(g.n))))) == canon
+
+
+def test_canonical_form_agrees_with_vf2():
+    nx = pytest.importorskip("networkx")
+
+    def as_nx(x: Graph):  # every vertex, an isolated one included
+        return nx.from_dict_of_lists({v: list(iter_bits(x.adj[v])) for v in range(x.n)})
+
+    @st.composite
+    def connected_graphs(draw):
+        n = draw(st.integers(7, 12))
+        tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+        pairs = [(i, j) for j in range(1, n) for i in range(j)]
+        return from_edges(n, tree + draw(st.lists(st.sampled_from(pairs), max_size=2 * n)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(connected_graphs(), st.randoms(use_true_random=False), st.booleans())
+    def check(g, rng, move_an_edge):
+        # h is a relabeling of g, or of g with one edge moved
+        edges = g.edges()
+        if move_an_edge:
+            absent = [(u, v) for v in range(g.n) for u in range(v) if not g.has_edge(u, v)]
+            if absent:
+                edges.remove(rng.choice(edges))
+                edges.append(rng.choice(absent))
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = _permuted(from_edges(g.n, edges), perm)
+        assert (canonical_form(g) == canonical_form(h)) == nx.is_isomorphic(as_nx(g), as_nx(h))
+
+    check()
+
+
+def test_canonical_form_is_shared_by_relabelings_of_regular_graphs():
+    # refinement cannot split a regular graph's degree cell, so the search
+    # tree is deep and wide: this is where an unsound prune shows
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2014)
+    for seed in range(60):
+        n = 8 + seed % 9
+        g = from_edges(n, nx.random_regular_graph(3 + n % 2, n, seed=seed).edges())
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert canonical_form(_permuted(g, perm)) == canonical_form(g)

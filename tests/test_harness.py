@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from domchrom import harness
@@ -14,7 +16,8 @@ from domchrom.harness import (
     run_corpus,
     theorem_instances,
 )
-from domchrom.solver import chi_dd_oracle
+from domchrom.ops import subdivide
+from domchrom.solver import chi_dd_exact, chi_dd_oracle
 
 
 def test_check_theorem_1_example():
@@ -80,6 +83,8 @@ def test_malformed_instance_raises_before_any_solve(monkeypatch):
         (3, (2, 0), r"\(0,2\) is not an edge; use contract_vertices"),
         (4, (1, 1), "cannot contract a vertex with itself"),
         (4, (0, 1), r"\(0,1\) is an edge; use contract_edge"),
+        (5, 0, "path of length k >= 2, got k=0"),
+        (5, 1, "path of length k >= 2, got k=1"),
         (6, CycleSpec((0, 2, 1)), "consecutive cycle vertices 0 and 2 are not adjacent"),
     ]:
         with pytest.raises(ValueError, match=message):
@@ -224,6 +229,48 @@ def test_theorem5_oracle_cross_check_runs():
     chk = check_theorem(5, make_named("complete", 2), 2)
     assert isinstance(chk, TheoremCheck)
     assert chk.chi_after == chi_dd_oracle(make_named("path", 3))
+
+
+def _n5_m6_slice():
+    return [g for g in corpus_up_to(5) if g.m <= 6]
+
+
+def test_theorem5_solves_of_canonical_forms_match_the_labeled_sweep():
+    # theorem 5 solves S(canonical_form(G), k); its chi_dd must be the labeled S(G, k)'s
+    config = HarnessConfig(theorems=(5,))
+    cache = {}
+    checked = 0
+    for g in _n5_m6_slice():
+        for k in (2, 3, 4):
+            chk = check_theorem(5, g, k, config=config, cache=cache)
+            if g.m == 0:
+                assert chk.reason == "no edges"
+                continue
+            assert chk.chi_after == chi_dd_exact(subdivide(g, k)[0]).chi_dd
+            checked += 1
+    assert checked == 1785
+
+
+def test_theorem5_outcomes_follow_the_isomorphism_class_under_a_tight_budget():
+    # S(G,k) is solved on G's canonical form, so an "unknown" belongs to the
+    # class: the payload does not depend on the worker count, and a
+    # relabeled corpus gives the same counts
+    graphs = _n5_m6_slice()
+    serial = run_corpus(graphs, HarnessConfig(theorems=(5,), budget=1000))
+    parallel = run_corpus(graphs, HarnessConfig(theorems=(5,), budget=1000, workers=2))
+    assert serial.per_theorem[5].unknowns > 0
+    a, b = serial.to_payload(), parallel.to_payload()
+    for key in ("per_theorem", "violations", "summary"):
+        assert a[key] == b[key]
+    rng = random.Random(1909)
+    relabeled = []
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        relabeled.append(from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()]))
+    again = run_corpus(relabeled, HarnessConfig(theorems=(5,), budget=1000)).per_theorem[5]
+    assert again.row() == serial.per_theorem[5].row()
+    assert again.skips == serial.per_theorem[5].skips
 
 
 def test_workers_match_serial():
