@@ -37,12 +37,13 @@ class Graph:
     ``adj[v]`` is the open-neighborhood bitset of ``v``; ``closed[v]``
     additionally contains ``v`` itself.  Construction validates symmetry
     and loop-freeness, so any reachable instance is a simple graph.
-    Because it never changes, :func:`to_graph6`, :func:`is_connected` and
-    the cut structure behind :func:`cut_vertices`/:func:`bridges` are
-    computed once per instance and kept in the three memo slots.
+    Because it never changes, :func:`to_graph6`, :func:`canonical_form`,
+    :func:`is_connected` and the cut structure behind
+    :func:`cut_vertices`/:func:`bridges` are computed once per instance
+    and kept in the four memo slots.
     """
 
-    __slots__ = ("n", "m", "adj", "closed", "_graph6", "_connected", "_cut_structure")
+    __slots__ = ("n", "m", "adj", "closed", "_graph6", "_canonical", "_connected", "_cut_structure")
 
     def __init__(self, n: int, neighbor_masks: Sequence[int]):
         masks = tuple(neighbor_masks)
@@ -67,6 +68,7 @@ class Graph:
         self.adj = masks
         self.closed = tuple(mask | (1 << v) for v, mask in enumerate(masks))
         self._graph6: str | None = None
+        self._canonical: Graph | None = None
         self._connected: bool | None = None
         self._cut_structure: tuple[frozenset[int], frozenset[tuple[int, int]]] | None = None
 
@@ -259,7 +261,10 @@ def _refine(adj: Sequence[int], cells: list[int]) -> list[int]:
 def canonical_form(g: Graph) -> Graph:
     """The relabeling of ``g`` that every graph isomorphic to ``g`` shares:
     vertex i of the result is vertex ``_canonical_order(g)[i]`` of ``g``."""
-    return Graph(g.n, _relabeled(g.adj, _canonical_order(g)))
+    if g._canonical is not None:
+        return g._canonical
+    g._canonical = Graph(g.n, _relabeled(g.adj, _canonical_order(g)))
+    return g._canonical
 
 
 def _relabeled(adj: Sequence[int], order: list[int]) -> tuple[int, ...]:

@@ -11,12 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import CycleSpec, Graph
-
-
-def _drop_slot(mask: int, v: int) -> int:
-    """Remove bit position v from a bitset, shifting higher bits down."""
-    return (mask & ((1 << v) - 1)) | ((mask >> (v + 1)) << v)
+from .graph import CycleSpec, Graph, iter_bits
 
 
 def removal_index_map(n: int, v: int) -> tuple[int | None, ...]:
@@ -56,13 +51,17 @@ def require_contractible(g: Graph, u: int, v: int, edge: bool) -> None:
         raise ValueError(f"({u},{v}) is an edge; use contract_edge")
 
 
+def _delete(adj, v: int) -> Graph:
+    """Drop vertex v's slot from every other mask, shifting higher ids down."""
+    low = (1 << v) - 1
+    masks = [(m & low) | (m >> (v + 1) << v) for w, m in enumerate(adj) if w != v]
+    return Graph(len(adj) - 1, masks)
+
+
 def remove_vertex(g: Graph, v: int) -> Graph:
     """Delete v and all incident edges; remaining ids compact downward."""
     require_removable(g, v)
-    masks = [
-        _drop_slot(g.adj[w] & ~(1 << v), v) for w in range(g.n) if w != v
-    ]
-    return Graph(g.n - 1, masks)
+    return _delete(g.adj, v)
 
 
 def remove_edge(g: Graph, e: tuple[int, int]) -> Graph:
@@ -76,20 +75,13 @@ def remove_edge(g: Graph, e: tuple[int, int]) -> Graph:
 
 
 def _contract(g: Graph, u: int, v: int) -> Graph:
+    """Give v's neighbours to u (u < v after sorting), then delete v."""
     u, v = sorted((u, v))
-    merged = (g.adj[u] | g.adj[v]) & ~(1 << u) & ~(1 << v)
-    masks = []
-    for w in range(g.n):
-        if w == v:
-            continue
-        if w == u:
-            mask = merged
-        else:
-            mask = g.adj[w]
-            if (mask >> v) & 1:
-                mask = (mask & ~(1 << v)) | (1 << u)
-        masks.append(_drop_slot(mask, v))
-    return Graph(g.n - 1, masks)
+    masks = list(g.adj)
+    for w in iter_bits(g.adj[v]):
+        masks[w] |= 1 << u
+    masks[u] = (masks[u] | g.adj[v]) & ~(1 << u)  # no loop when u, v are adjacent
+    return _delete(masks, v)
 
 
 def contract_edge(g: Graph, e: tuple[int, int]) -> Graph:

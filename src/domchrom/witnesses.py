@@ -115,19 +115,18 @@ def _outcome(case: str, target: Graph, coloring: Coloring, budget: int) -> Witne
     return WitnessOutcome("gap", coloring, used, case, report)
 
 
-def _recolor(
-    case: str, target: Graph, base: Coloring, vmap, fresh, extra: int, forward: bool = False
-) -> WitnessOutcome:
+def _recolor(case: str, target: Graph, base: Coloring, vmap, fresh, extra: int) -> WitnessOutcome:
     """Keep the base colors across ``vmap``, give each vertex of ``fresh``
     (target ids, in order) a new color of its own, and judge the result
     against a budget of ``extra`` colors beyond the base's.
 
-    ``vmap`` maps the base's vertices to ``target``'s when ``forward``,
-    and ``target``'s vertices to the base's otherwise; a vertex mapped to
-    None keeps no color and must be fresh.
+    ``vmap`` maps G's vertices to H's, and the base colors whichever of G
+    and H is not ``target``: colors go forward along it unless its length
+    is ``target``'s order, and back otherwise (on an identity map both
+    agree).  A vertex left without a color must be fresh.
     """
     colors = base.assignment
-    if forward:
+    if len(vmap) != target.n:
         assign = [None] * target.n
         for w, t in enumerate(vmap):
             if t is not None:
@@ -162,14 +161,14 @@ def extend_witness(kind: str, g: Graph, params, base: Coloring, h: Graph | None 
         target = _operated(kind, g, (u, v), h)
         _require_dom(g, base, "base coloring of G")
         imap = contraction_index_map(g.n, u, v)
-        return _recolor("main", target, base, imap, [imap[u]], 1, forward=True)
+        return _recolor("main", target, base, imap, [imap[u]], 1)
 
     if kind == "cycle_extend":
         cyc: CycleSpec = params
         cyc.validate(g)
         target = _operated(kind, g, cyc, h)
         _require_dom(g, base, "base coloring of G")
-        return _recolor("main", target, base, range(g.n), [g.n], 1, forward=True)
+        return _recolor("main", target, base, range(g.n), [g.n], 1)
 
     raise ValueError(f"unknown extend kind {kind!r}; expected one of {EXTEND_KINDS}")
 
@@ -198,7 +197,7 @@ def reduce_witness(kind: str, g: Graph, params, base: Coloring, h: Graph | None 
         doms = _dominator_masks(g, base)
         fresh = [imap[w] for w in iter_bits(_classes_dominated_only_by(base, doms, v))]
         target = _operated(kind, g, v, h)
-        return _recolor(case, target, base, imap, fresh, g.degree(v) - 1, forward=True)
+        return _recolor(case, target, base, imap, fresh, g.degree(v) - 1)
 
     if kind == "remove_edge":
         u, v = sorted(params)

@@ -205,6 +205,22 @@ def test_verify_corpus_from_file(tmp_path):
     assert lines[1].startswith("3,")
 
 
+def test_verify_reports_a_violation_and_exits_1(tmp_path):
+    # G@?I\c is a known theorem-3 counterexample (see test_harness)
+    corpus = tmp_path / "viol.g6"
+    corpus.write_text("G@?I\\c\n")
+    argv = ["verify", "--input", str(corpus), "--theorems", "3"]
+    code, out, _ = run_cli(argv)
+    assert code == 1
+    assert "VIOLATION thm 3 G@?I\\c e=6-7: chi_after=3 outside [4,7]\n" in out
+    assert out.endswith("verdict: FAILED (1 violations, 0 unknowns)\n")
+    code, out, _ = run_cli([*argv, "--format", "json"])
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["summary"]["ok"] is False
+    assert [(v["graph6"], v["instance"]) for v in payload["violations"]] == [("G@?I\\c", "e=6-7")]
+
+
 def test_verify_usage_errors():
     code, _, err = run_cli(["verify", "--theorems", "1"])
     assert code == 2  # no corpus source

@@ -75,6 +75,7 @@ CLI_CASES = [
     ("witness_uncontract", ["witness", "--kind", "uncontract", "--params", "0,1", "--base", "0,1,2", K4], ""),
     ("witness_cycle_extend", ["witness", "--kind", "cycle-extend", "--params", "0,1,2,3", "--base", "0,1,0,1", C4], ""),
     ("witness_remove_hub", ["witness", "--kind", "remove-hub", "--params", "0,1,2,3", "--base", "0,1,0,1,2", C4], ""),
+    ("witness_short_cycle", ["witness", "--kind", "cycle-extend", "--params", "0,1", "--base", "0,1,0,1", C4], ""),
     ("witness_bad_base", ["witness", "--kind", "add-vertex", "--params", "0", "--base", "0,1,1", C4], ""),
     ("witness_bad_base_text", ["witness", "--kind", "add-vertex", "--params", "0", "--base", "0,y", C4], ""),
     ("witness_vertex_out_of_range", ["witness", "--kind", "remove-vertex", "--params", "9", "--base", "0,1,2", "Bw"], ""),

@@ -138,15 +138,15 @@ def test_bridges_examples():
 
 
 def test_memos_match_a_fresh_copy_on_corpus():
-    # to_graph6, cut_vertices and bridges are memoized on the graph: asked
-    # twice, one object answers what a freshly parsed copy computes
+    # to_graph6, canonical_form, cut_vertices and bridges are memoized on the
+    # graph: asked twice, one object answers what a freshly parsed copy computes
     for n in range(1, 7):
         for g in enumerate_connected_graphs(n):
-            first = (to_graph6(g), cut_vertices(g), bridges(g))
-            assert (to_graph6(g), cut_vertices(g), bridges(g)) == first
+            first = (to_graph6(g), canonical_form(g), cut_vertices(g), bridges(g))
+            assert (to_graph6(g), canonical_form(g), cut_vertices(g), bridges(g)) == first
             fresh = parse_graph6(first[0])
             assert fresh == g
-            assert (to_graph6(fresh), cut_vertices(fresh), bridges(fresh)) == first
+            assert (to_graph6(fresh), canonical_form(fresh), cut_vertices(fresh), bridges(fresh)) == first
 
 
 def test_cut_structure_is_immutable_and_never_memoized_when_disconnected():
@@ -170,11 +170,11 @@ def test_graph_pickles_with_and_without_memos():
     # filled memo slots travel with a pickled graph and never affect equality
     for g in (make_named("path", 4), make_named("cycle", 5)):
         blank = pickle.loads(pickle.dumps(g))
-        filled = (to_graph6(g), cut_vertices(g), bridges(g))
+        filled = (to_graph6(g), canonical_form(g), cut_vertices(g), bridges(g))
         copy = pickle.loads(pickle.dumps(g))
         for other in (blank, copy):
             assert other == g and hash(other) == hash(g)
-            assert (to_graph6(other), cut_vertices(other), bridges(other)) == filled
+            assert (to_graph6(other), canonical_form(other), cut_vertices(other), bridges(other)) == filled
 
 
 def test_cut_structure_matches_removal_on_corpus():

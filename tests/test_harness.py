@@ -3,7 +3,7 @@ import random
 import pytest
 
 from domchrom import harness
-from domchrom.graph import CycleSpec, enumerate_connected_graphs, from_edges, make_named
+from domchrom.graph import CycleSpec, enumerate_connected_graphs, from_edges, make_named, parse_graph6
 from domchrom.harness import (
     GAP_EXAMPLE_CAP,
     CorpusReport,
@@ -16,7 +16,7 @@ from domchrom.harness import (
     run_corpus,
     theorem_instances,
 )
-from domchrom.ops import subdivide
+from domchrom.ops import contract_edge, contract_vertices, subdivide
 from domchrom.solver import chi_dd_exact, chi_dd_oracle
 
 
@@ -62,6 +62,23 @@ def test_check_theorem_6_example():
     assert chk.chi_after == 3  # the 5-vertex wheel
     assert (chk.lower, chk.upper) == (-2, 3)
     assert chk.holds and chk.chi_after == chk.upper
+
+
+@pytest.mark.parametrize(
+    "theorem,graph6,contract",
+    [(3, "G@?I\\c", lambda g: contract_edge(g, (6, 7))), (4, "GGE?~?", lambda g: contract_vertices(g, 6, 7))],
+    ids=["thm3", "thm4"],
+)
+def test_known_violations_at_n8(theorem, graph6, contract):
+    # contracting the pair 6-7 takes chi_dd from 6 to 3, below the lower
+    # bound chi_dd(G) - 2 = 4 that theorems 3 and 4 state; the oracle agrees
+    g = parse_graph6(graph6)
+    chk = check_theorem(theorem, g, (6, 7))
+    assert isinstance(chk, TheoremCheck)
+    assert (chk.chi_before, chk.chi_after) == (6, 3)
+    assert (chk.lower, chk.upper) == (4, 7)
+    assert not chk.holds
+    assert (chi_dd_oracle(g), chi_dd_oracle(contract(g))) == (6, 3)
 
 
 def test_check_theorem_rejects_bad_instance():

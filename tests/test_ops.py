@@ -78,18 +78,30 @@ def test_index_maps():
     assert contraction_index_map(4, 3, 1) == (0, 1, 2, 1)
 
 
+def _through(g, vmap):
+    """G's edges sent through a vertex map, minus deleted and merged pairs."""
+    pairs = [(vmap[a], vmap[b]) for a, b in g.edges()]
+    return from_edges(g.n - 1, [(a, b) for a, b in pairs if None not in (a, b) and a != b])
+
+
 def test_contractions_stay_simple_on_full_corpus():
     # Graph() construction asserts loop-freeness and symmetry, so building
     # every contraction over the full n <= 6 corpus is the simplicity check;
-    # connectivity preservation rides along.
+    # connectivity preservation rides along, and every removal and
+    # contraction is G sent through its index map.
     for n in range(2, 7):
         for g in enumerate_connected_graphs(n):
             for u, v in g.edges():
-                assert is_connected(contract_edge(g, (u, v)))
+                h = contract_edge(g, (u, v))
+                assert is_connected(h)
+                assert h == _through(g, contraction_index_map(n, u, v))
             for v in range(n):
+                assert remove_vertex(g, v) == _through(g, removal_index_map(n, v))
                 for u in range(v):
                     if not g.has_edge(u, v):
-                        assert is_connected(contract_vertices(g, u, v))
+                        h = contract_vertices(g, u, v)
+                        assert is_connected(h)
+                        assert h == _through(g, contraction_index_map(n, v, u))
 
 
 def test_operations_preserve_connectedness():
