@@ -333,7 +333,6 @@ def _cmd_witness(args, stdin, stdout, stderr) -> int:
             o = runner(kind, g, params, base)
         except ValueError as exc:
             raise _UsageError(f"witness rejected on {g6}: {exc}") from None
-        gap = o.gap_report
         rows.append(
             {
                 "graph6": g6,
@@ -341,13 +340,7 @@ def _cmd_witness(args, stdin, stdout, stderr) -> int:
                 "case": o.case,
                 "colors_used": o.colors_used,
                 "coloring": o.coloring.to_text(),
-                "gap": None
-                if gap is None
-                else {
-                    "reason": gap.reason,
-                    "budget": gap.budget,
-                    "diagnostic": None if gap.diagnostic is None else asdict(gap.diagnostic),
-                },
+                "gap": None if o.gap_report is None else asdict(o.gap_report),
             }
         )
     columns = ("graph6", "status", "case", "colors_used", "coloring")

@@ -107,29 +107,13 @@ def is_proper(g: Graph, c: Coloring) -> bool:
     return not is_domination_coloring(g, c)[1].improper_edges
 
 
-def _dominator_masks(g: Graph, c: Coloring) -> list[int]:
-    """Per class, the bitset of vertices whose closed neighborhood contains it."""
-    closed = g.closed
-    full = (1 << g.n) - 1
-    out = []
-    for members in c.classes:
-        d = full
-        rest = members
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            d &= closed[low.bit_length() - 1]
-        out.append(d)
-    return out
-
-
 def dominators_of_class(g: Graph, c: Coloring, i: int) -> set[int]:
     """Vertices v with class i inside N[v]; the intersection of closed
     neighborhoods over the class members."""
-    _check_length(g, c)
+    doms = _judge(g, c)[0]
     if not 0 <= i < c.class_count:
         raise ValueError(f"class index {i} out of range for {c.class_count} classes")
-    return set(iter_bits(_dominator_masks(g, c)[i]))
+    return set(iter_bits(doms[i]))
 
 
 def classes_dominated_by(g: Graph, c: Coloring, v: int) -> set[int]:
@@ -141,14 +125,16 @@ def classes_dominated_by(g: Graph, c: Coloring, v: int) -> set[int]:
     return {i for i, members in enumerate(c.classes) if not members & ~cv}
 
 
-def is_domination_coloring(g: Graph, c: Coloring) -> tuple[bool, DominationDiagnostic]:
-    """Decide the definition and report every violation in one pass."""
+def _judge(g: Graph, c: Coloring) -> tuple[list[int], DominationDiagnostic]:
+    """One pass over the classes: each class's dominator mask (the bitset of
+    vertices whose closed neighborhood contains it) and every violation."""
     _check_length(g, c)
     adj = g.adj
     closed = g.closed
     full = (1 << g.n) - 1
     improper: list[tuple[int, int]] = []
     undominated: list[int] = []
+    doms: list[int] = []
     union_d = 0
     for i, members in enumerate(c.classes):
         d = full
@@ -165,6 +151,7 @@ def is_domination_coloring(g: Graph, c: Coloring) -> tuple[bool, DominationDiagn
             d &= closed[v]
         if not d:
             undominated.append(i)
+        doms.append(d)
         union_d |= d
     missing = full & ~union_d
     diag = DominationDiagnostic(
@@ -172,4 +159,10 @@ def is_domination_coloring(g: Graph, c: Coloring) -> tuple[bool, DominationDiagn
         undominated_classes=tuple(undominated),
         improper_edges=tuple(improper),
     )
+    return doms, diag
+
+
+def is_domination_coloring(g: Graph, c: Coloring) -> tuple[bool, DominationDiagnostic]:
+    """Decide the definition and report every violation in one pass."""
+    diag = _judge(g, c)[1]
     return diag.ok, diag

@@ -27,6 +27,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Union
 
 from .graph import (
     GRAPH6_MAX_ORDER,
+    CycleSpec,
     Graph,
     bridges,
     canonical_form,
@@ -252,6 +253,7 @@ _SPECS = {
         apply=lambda g, cyc: cycle_extend(g, cyc),
         bounds=lambda chi, g, cyc: (chi - cyc.length, chi + 1),
         witnesses=(("cycle_extend", "G"), ("remove_hub", "H")),
+        canon=lambda cyc: cyc if isinstance(cyc, CycleSpec) else CycleSpec(cyc),
     ),
 }
 

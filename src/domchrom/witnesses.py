@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import Coloring, DominationDiagnostic, _dominator_masks, is_domination_coloring
+from .coloring import Coloring, DominationDiagnostic, _judge, is_domination_coloring
 from .graph import CycleSpec, Graph, bridges, cut_vertices, iter_bits
 from .ops import (
     contract_edge,
@@ -96,10 +96,12 @@ class WitnessOutcome:
     gap_report: GapReport | None
 
 
-def _require_dom(g: Graph, c: Coloring, role: str) -> None:
-    ok, diag = is_domination_coloring(g, c)
-    if not ok:
+def _require_dom(g: Graph, c: Coloring, role: str) -> list[int]:
+    """Raise unless ``c`` is a domination coloring of ``g``; return each class's dominator mask."""
+    doms, diag = _judge(g, c)
+    if not diag.ok:
         raise ValueError(f"{role} is not a domination coloring: {diag}")
+    return doms
 
 
 def _outcome(case: str, target: Graph, coloring: Coloring, budget: int) -> WitnessOutcome:
@@ -191,10 +193,9 @@ def reduce_witness(kind: str, g: Graph, params, base: Coloring, h: Graph | None 
         require_removable(g, v)
         if v in cut_vertices(g):
             raise ValueError(f"vertex {v} is a cut vertex; theorem hypothesis fails")
-        _require_dom(g, base, "base coloring of G")
+        doms = _require_dom(g, base, "base coloring of G")
         case = "case1" if base.classes[base.assignment[v]] != (1 << v) else "case2"
         imap = removal_index_map(g.n, v)
-        doms = _dominator_masks(g, base)
         fresh = [imap[w] for w in iter_bits(_classes_dominated_only_by(base, doms, v))]
         target = _operated(kind, g, v, h)
         return _recolor(case, target, base, imap, fresh, g.degree(v) - 1)
@@ -204,8 +205,7 @@ def reduce_witness(kind: str, g: Graph, params, base: Coloring, h: Graph | None 
         require_edge(g, *params)
         if (u, v) in bridges(g):
             raise ValueError(f"({u},{v}) is a bridge; theorem hypothesis fails")
-        _require_dom(g, base, "base coloring of G")
-        doms = _dominator_masks(g, base)
+        doms = _require_dom(g, base, "base coloring of G")
         i, j = base.assignment[u], base.assignment[v]
         u_dominates_vs_class = bool((doms[j] >> u) & 1)
         v_dominates_us_class = bool((doms[i] >> v) & 1)
@@ -233,11 +233,10 @@ def reduce_witness(kind: str, g: Graph, params, base: Coloring, h: Graph | None 
         cyc: CycleSpec = params
         cyc.validate(g)
         source = _operated(kind, g, cyc, h)
-        _require_dom(source, base, "base coloring of the cycle-extended graph")
+        doms = _require_dom(source, base, "base coloring of the cycle-extended graph")
         hub = g.n
         i = base.assignment[hub]
         case = "case1" if base.classes[i] == (1 << hub) else "case2"
-        doms = _dominator_masks(source, base)
         flagged = _classes_dominated_only_by(base, doms, hub)
         if case == "case1":
             # vertices of G whose only dominated class is the hub's singleton

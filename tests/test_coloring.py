@@ -120,15 +120,22 @@ def test_duality_of_domination_queries(data):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_diagnostic_iff_definition(data):
-    # the boolean verdict must agree with first-principles set arithmetic
+    # every tuple of the diagnostic against the definition, worked out here
+    # from the edge list and closed neighborhoods with plain set arithmetic
     g, c = _random_graph_and_coloring(data.draw)
-    proper = is_proper(g, c)
-    vertex_ok = all(classes_dominated_by(g, c, v) for v in range(g.n))
-    class_ok = all(dominators_of_class(g, c, i) for i in range(c.class_count))
+    color = c.assignment
+    closed = [{v} | {u for u in range(g.n) if g.has_edge(u, v)} for v in range(g.n)]
+    classes = [{v for v in range(g.n) if color[v] == i} for i in range(c.class_count)]
+    # the checker lists improper edges class by class, each class's in edge order
+    improper = sorted((e for e in g.edges() if color[e[0]] == color[e[1]]), key=lambda e: (color[e[0]], e))
+    undominated = [i for i, cls in enumerate(classes) if not any(cls <= nv for nv in closed)]
+    undominating = [v for v in range(g.n) if not any(cls <= closed[v] for cls in classes)]
     ok, diag = is_domination_coloring(g, c)
-    assert ok == (proper and vertex_ok and class_ok)
-    assert diag.ok == ok
-    assert (not diag.improper_edges) == proper
+    assert diag.improper_edges == tuple(improper)
+    assert diag.undominated_classes == tuple(undominated)
+    assert diag.undominating_vertices == tuple(undominating)
+    assert ok == diag.ok == (not (improper or undominated or undominating))
+    assert is_proper(g, c) == (not improper)
 
 
 @settings(max_examples=200, deadline=None)

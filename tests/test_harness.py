@@ -103,9 +103,16 @@ def test_malformed_instance_raises_before_any_solve(monkeypatch):
         (5, 0, "path of length k >= 2, got k=0"),
         (5, 1, "path of length k >= 2, got k=1"),
         (6, CycleSpec((0, 2, 1)), "consecutive cycle vertices 0 and 2 are not adjacent"),
+        (6, (0, 2, 1), "consecutive cycle vertices 0 and 2 are not adjacent"),
+        (6, (0, 1), "cycle length must be at least 3"),
     ]:
         with pytest.raises(ValueError, match=message):
             check_theorem(theorem, c4, instance, config=HarnessConfig(budget=1))
+
+
+def test_theorem6_takes_a_vertex_sequence_as_a_cycle():
+    c4 = make_named("cycle", 4)
+    assert check_theorem(6, c4, (0, 1, 2, 3)) == check_theorem(6, c4, CycleSpec((0, 1, 2, 3)))
 
 
 @pytest.mark.parametrize(
