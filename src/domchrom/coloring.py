@@ -125,41 +125,36 @@ def classes_dominated_by(g: Graph, c: Coloring, v: int) -> set[int]:
     return {i for i, members in enumerate(c.classes) if not members & ~cv}
 
 
+# the verdict of every domination coloring; frozen, so one instance serves all
+_OK = DominationDiagnostic((), (), ())
+
+
 def _judge(g: Graph, c: Coloring) -> tuple[list[int], DominationDiagnostic]:
-    """One pass over the classes: each class's dominator mask (the bitset of
+    """One pass over the vertices: each class's dominator mask (the bitset of
     vertices whose closed neighborhood contains it) and every violation."""
     _check_length(g, c)
     adj = g.adj
     closed = g.closed
+    classes = c.classes
     full = (1 << g.n) - 1
-    improper: list[tuple[int, int]] = []
-    undominated: list[int] = []
-    doms: list[int] = []
+    doms = [full] * c.class_count  # classes are nonempty, so the loop narrows every entry
+    clash = 0
+    for v, i in enumerate(c.assignment):
+        doms[i] &= closed[v]
+        clash |= adj[v] & classes[i]
     union_d = 0
-    for i, members in enumerate(c.classes):
-        d = full
-        rest = members
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            clash = (adj[v] & members) >> (v + 1)
-            while clash:
-                cl = clash & -clash
-                improper.append((v, v + 1 + cl.bit_length() - 1))
-                clash ^= cl
-            d &= closed[v]
-        if not d:
-            undominated.append(i)
-        doms.append(d)
+    for d in doms:
         union_d |= d
-    missing = full & ~union_d
-    diag = DominationDiagnostic(
-        undominating_vertices=tuple(iter_bits(missing)),
-        undominated_classes=tuple(undominated),
-        improper_edges=tuple(improper),
+    if not clash and union_d == full and all(doms):
+        return doms, _OK
+    return doms, DominationDiagnostic(
+        undominating_vertices=tuple(iter_bits(full & ~union_d)),
+        undominated_classes=tuple(i for i, d in enumerate(doms) if not d),
+        # class by class, each class's in edge order
+        improper_edges=tuple(
+            (v, w) for members in classes for v in iter_bits(members) for w in iter_bits(adj[v] & members) if w > v
+        ),
     )
-    return doms, diag
 
 
 def is_domination_coloring(g: Graph, c: Coloring) -> tuple[bool, DominationDiagnostic]:

@@ -60,9 +60,13 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {v}")
             degree_sum += mask.bit_count()
         for v, mask in enumerate(masks):
-            for u in iter_bits(mask):
-                if not (masks[u] >> v) & 1:
+            bit = 1 << v
+            while mask:
+                low = mask & -mask
+                u = low.bit_length() - 1
+                if not masks[u] & bit:
                     raise ValueError(f"asymmetric adjacency between {u} and {v}")
+                mask ^= low
         self.n = n
         self.m = degree_sum // 2
         self.adj = masks

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Union
@@ -146,10 +147,6 @@ def _solve_cached(g: Graph, budget: int, cache: dict[str, SolveResult]) -> Solve
 # names (as a tracer does) reaches every call.
 
 
-def _same(instance):
-    return instance
-
-
 def _no_skip(g, instance, config):
     return None
 
@@ -158,6 +155,9 @@ class _Spec(NamedTuple):
     """How one theorem is checked: H = apply(G, instance), lower <= chi_dd(H) <= upper."""
 
     instances: Callable[[Graph, HarnessConfig], Iterable]  # a corpus run's instance domain
+    # the instance as the fields below take it, or None when it has the wrong shape
+    canon: Callable[[Any], Any]
+    shape: str  # the instance's shape, as the wrong-shape error names it
     label: Callable[[Any], str]
     apply: Callable[[Graph, Any], Graph]
     bounds: Callable[[int, Graph, Any], tuple[int, int]]  # given chi_dd(G)
@@ -165,12 +165,30 @@ class _Spec(NamedTuple):
     hypothesis: Callable[[Graph, Any, HarnessConfig], str | None] = _no_skip
     # (extend, reduce) as (witness kind, "G" or "H": whose coloring it starts from)
     witnesses: tuple[tuple[str, str], tuple[str, str]] | None = None
-    canon: Callable[[Any], Any] = _same  # the instance as the fields above take it
 
 
-def _pair(instance) -> tuple[int, int]:
-    u, v = sorted(instance)
-    return u, v
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int(instance) -> int | None:
+    return instance if _is_int(instance) else None
+
+
+def _pair(instance) -> tuple[int, int] | None:
+    if isinstance(instance, Sequence) and len(instance) == 2:
+        u, v = instance
+        if _is_int(u) and _is_int(v):
+            return (u, v) if u < v else (v, u)
+    return None
+
+
+def _cycle(instance) -> CycleSpec | None:
+    if isinstance(instance, CycleSpec):
+        return instance
+    if isinstance(instance, Sequence) and all(_is_int(v) for v in instance):
+        return CycleSpec(instance)
+    return None
 
 
 def _edge_label(e: tuple[int, int]) -> str:
@@ -209,6 +227,8 @@ def _cycles(g: Graph, config: HarnessConfig) -> list:
 _SPECS = {
     1: _Spec(
         instances=lambda g, config: range(g.n),
+        canon=_int,
+        shape="a vertex (an int)",
         label=lambda v: f"v={v}",
         hypothesis=_removable_vertex,
         apply=lambda g, v: remove_vertex(g, v),
@@ -217,31 +237,36 @@ _SPECS = {
     ),
     2: _Spec(
         instances=lambda g, config: g.edges(),
+        canon=_pair,
+        shape="an edge (two vertex ints)",
         label=_edge_label,
         hypothesis=_removable_edge,
         apply=lambda g, e: remove_edge(g, e),
         bounds=lambda chi, g, e: (chi - 1, chi + 2),
         witnesses=(("add_edge", "H"), ("remove_edge", "G")),
-        canon=_pair,
     ),
     3: _Spec(
         instances=lambda g, config: g.edges(),
+        canon=_pair,
+        shape="an edge (two vertex ints)",
         label=_edge_label,
         apply=lambda g, e: contract_edge(g, e),
         bounds=lambda chi, g, e: (chi - 2, chi + 1),
         witnesses=(("contract_edge", "G"), ("uncontract", "H")),
-        canon=_pair,
     ),
     4: _Spec(
         instances=lambda g, config: [(u, v) for v in range(g.n) for u in range(v) if not (g.adj[u] >> v) & 1],
+        canon=_pair,
+        shape="a vertex pair (two vertex ints)",
         label=lambda e: f"uv={e[0]}-{e[1]}",
         apply=lambda g, e: contract_vertices(g, *e),
         bounds=lambda chi, g, e: (chi - 2, chi + 1),
         witnesses=(("contract_vertices", "G"), ("uncontract", "H")),
-        canon=_pair,
     ),
     5: _Spec(
         instances=lambda g, config: config.k_values,
+        canon=_int,
+        shape="a path length k (an int)",
         label=lambda k: f"k={k}",
         hypothesis=_subdividable,
         apply=_subdivision,
@@ -249,11 +274,12 @@ _SPECS = {
     ),
     6: _Spec(
         instances=_cycles,
+        canon=_cycle,
+        shape="a cycle (a CycleSpec or a sequence of vertex ints)",
         label=lambda cyc: "C=" + "-".join(str(v) for v in cyc.vertices),
         apply=lambda g, cyc: cycle_extend(g, cyc),
         bounds=lambda chi, g, cyc: (chi - cyc.length, chi + 1),
         witnesses=(("cycle_extend", "G"), ("remove_hub", "H")),
-        canon=lambda cyc: cyc if isinstance(cyc, CycleSpec) else CycleSpec(cyc),
     ),
 }
 
@@ -292,7 +318,10 @@ def check_theorem(
     config = config or HarnessConfig()
     cache = {} if cache is None else cache
     g6 = to_graph6(g)
-    instance = spec.canon(instance)
+    shaped = spec.canon(instance)
+    if shaped is None:
+        raise ValueError(f"theorem {theorem} takes {spec.shape}, got {instance!r}")
+    instance = shaped
     label = spec.label(instance)
     reason = spec.hypothesis(g, instance, config)
     if reason is not None:

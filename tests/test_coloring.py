@@ -4,12 +4,13 @@ from hypothesis import strategies as st
 
 from domchrom.coloring import (
     Coloring,
+    _judge,
     classes_dominated_by,
     dominators_of_class,
     is_domination_coloring,
     is_proper,
 )
-from domchrom.graph import Graph, enumerate_connected_graphs, from_edges, make_named
+from domchrom.graph import Graph, enumerate_connected_graphs, from_edges, iter_bits, make_named
 
 
 def test_coloring_normalizes_gaps():
@@ -91,19 +92,50 @@ def test_diagnostic_fully_populated():
     assert len(diag.undominating_vertices) == 2
 
 
-def _random_graph_and_coloring(draw, nmin=2, nmax=6):
-    n = draw(st.integers(nmin, nmax))
-    nbits = n * (n - 1) // 2
-    code = draw(st.integers(0, (1 << nbits) - 1))
+def _graph_from_code(n, code):
+    # bit t of code says whether the t-th vertex pair (colex order) is an edge
     pairs = [(i, j) for j in range(1, n) for i in range(j)]
     masks = [0] * n
     for t, (i, j) in enumerate(pairs):
         if (code >> t) & 1:
             masks[i] |= 1 << j
             masks[j] |= 1 << i
-    g = Graph(n, masks)
+    return Graph(n, masks)
+
+
+def _random_graph_and_coloring(draw, nmin=2, nmax=6):
+    n = draw(st.integers(nmin, nmax))
+    code = draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1))
     colors = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-    return g, Coloring(colors)
+    return _graph_from_code(n, code), Coloring(colors)
+
+
+def _by_definition(g, c):
+    """The checker's answer worked out from the edge list and closed
+    neighborhoods with plain set arithmetic: each class's dominators, then the
+    diagnostic's improper edges, undominated classes and undominating vertices."""
+    color = c.assignment
+    closed = [{v} | {u for u in range(g.n) if g.has_edge(u, v)} for v in range(g.n)]
+    classes = [{v for v in range(g.n) if color[v] == i} for i in range(c.class_count)]
+    doms = [set.intersection(*(closed[v] for v in cls)) for cls in classes]
+    # the checker lists improper edges class by class, each class's in edge order
+    improper = sorted((e for e in g.edges() if color[e[0]] == color[e[1]]), key=lambda e: (color[e[0]], e))
+    undominated = [i for i, cls in enumerate(classes) if not any(cls <= nv for nv in closed)]
+    undominating = [v for v in range(g.n) if not any(cls <= closed[v] for cls in classes)]
+    return doms, (tuple(improper), tuple(undominated), tuple(undominating))
+
+
+def _set_partitions(n):
+    """Every set partition of range(n) as a restricted-growth string: vertex 0
+    has class 0, and each later vertex joins a used class or opens the next one."""
+    def grow(prefix, used):
+        if len(prefix) == n:
+            yield prefix
+            return
+        for x in range(used + 1):
+            yield from grow(prefix + (x,), max(used, x + 1))
+
+    return grow((), 0)
 
 
 @settings(max_examples=300, deadline=None)
@@ -120,22 +152,37 @@ def test_duality_of_domination_queries(data):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_diagnostic_iff_definition(data):
-    # every tuple of the diagnostic against the definition, worked out here
-    # from the edge list and closed neighborhoods with plain set arithmetic
+    # every tuple of the diagnostic against the definition
     g, c = _random_graph_and_coloring(data.draw)
-    color = c.assignment
-    closed = [{v} | {u for u in range(g.n) if g.has_edge(u, v)} for v in range(g.n)]
-    classes = [{v for v in range(g.n) if color[v] == i} for i in range(c.class_count)]
-    # the checker lists improper edges class by class, each class's in edge order
-    improper = sorted((e for e in g.edges() if color[e[0]] == color[e[1]]), key=lambda e: (color[e[0]], e))
-    undominated = [i for i, cls in enumerate(classes) if not any(cls <= nv for nv in closed)]
-    undominating = [v for v in range(g.n) if not any(cls <= closed[v] for cls in classes)]
+    _, (improper, undominated, undominating) = _by_definition(g, c)
     ok, diag = is_domination_coloring(g, c)
-    assert diag.improper_edges == tuple(improper)
-    assert diag.undominated_classes == tuple(undominated)
-    assert diag.undominating_vertices == tuple(undominating)
+    assert diag.improper_edges == improper
+    assert diag.undominated_classes == undominated
+    assert diag.undominating_vertices == undominating
     assert ok == diag.ok == (not (improper or undominated or undominating))
     assert is_proper(g, c) == (not improper)
+
+
+def test_checker_matches_definition_on_every_small_coloring():
+    # every labeled graph with n <= 5, connected or not, under every set
+    # partition of its vertices: valid colorings take the shared verdict, so
+    # both of the checker's exits are covered
+    pairs = valid = 0
+    for n in range(1, 6):
+        partitions = [Coloring(p) for p in _set_partitions(n)]
+        for code in range(1 << (n * (n - 1) // 2)):
+            g = _graph_from_code(n, code)
+            for c in partitions:
+                doms, diag = _judge(g, c)
+                want_doms, want_diag = _by_definition(g, c)
+                assert [set(iter_bits(d)) for d in doms] == want_doms, (g.adj, c)
+                assert (diag.improper_edges, diag.undominated_classes, diag.undominating_vertices) == want_diag, (
+                    g.adj, c,
+                )
+                pairs += 1
+                valid += diag.ok
+    assert pairs == 1 + 2 * 2 + 8 * 5 + 64 * 15 + 1024 * 52
+    assert 0 < valid < pairs
 
 
 @settings(max_examples=200, deadline=None)

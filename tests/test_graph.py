@@ -55,8 +55,29 @@ def test_from_edges_rejects_loop_and_range():
 
 
 def test_graph_rejects_asymmetric_masks():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^asymmetric adjacency between 1 and 0$"):
         Graph(2, [0b10, 0b00])
+    # every single directed bit removed from a corpus graph: the error names the
+    # first pair (a, then b ascending) where a's mask lists b but b's omits a
+    for n in range(2, 5):
+        for g in enumerate_connected_graphs(n):
+            for v in range(n):
+                for u in range(n):
+                    if not g.has_edge(u, v):
+                        continue
+                    masks = list(g.adj)
+                    masks[v] &= ~(1 << u)
+                    first = next(
+                        (b, a) for a in range(n) for b in range(n)
+                        if (masks[a] >> b) & 1 and not (masks[b] >> a) & 1
+                    )
+                    with pytest.raises(ValueError, match=rf"^asymmetric adjacency between {first[0]} and {first[1]}$"):
+                        Graph(n, masks)
+    # range and self-loop errors come before any asymmetry error
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 2$"):
+        Graph(3, [0b010, 0b000, 0b100])
+    with pytest.raises(ValueError, match=r"^neighbor mask of vertex 2 mentions vertices >= 3$"):
+        Graph(3, [0b010, 0b000, 0b1000])
 
 
 def test_make_named_families():

@@ -105,6 +105,15 @@ def test_malformed_instance_raises_before_any_solve(monkeypatch):
         (6, CycleSpec((0, 2, 1)), "consecutive cycle vertices 0 and 2 are not adjacent"),
         (6, (0, 2, 1), "consecutive cycle vertices 0 and 2 are not adjacent"),
         (6, (0, 1), "cycle length must be at least 3"),
+        # a wrong-shaped instance, named by its theorem and the shape it takes
+        (1, (0, 1), r"^theorem 1 takes a vertex \(an int\), got \(0, 1\)$"),
+        (1, True, r"^theorem 1 takes a vertex \(an int\), got True$"),
+        (2, (0, 1, 2), r"^theorem 2 takes an edge \(two vertex ints\), got \(0, 1, 2\)$"),
+        (2, (0, True), r"^theorem 2 takes an edge \(two vertex ints\), got \(0, True\)$"),
+        (3, (0, 1, 2), r"^theorem 3 takes an edge \(two vertex ints\), got \(0, 1, 2\)$"),
+        (4, (0,), r"^theorem 4 takes a vertex pair \(two vertex ints\), got \(0,\)$"),
+        (5, 2.0, r"^theorem 5 takes a path length k \(an int\), got 2.0$"),
+        (6, 5, r"^theorem 6 takes a cycle \(a CycleSpec or a sequence of vertex ints\), got 5$"),
     ]:
         with pytest.raises(ValueError, match=message):
             check_theorem(theorem, c4, instance, config=HarnessConfig(budget=1))

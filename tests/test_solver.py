@@ -73,6 +73,15 @@ def test_chi_dd_exact_fixed_values():
     assert chi_dd_exact(make_named("cycle", 6)).chi_dd == 4
 
 
+def test_path_and_cycle_values_grow_by_three_every_five_vertices():
+    # observed, not from the paper: chi_dd(P_{n+5}) = chi_dd(P_n) + 3 for n >= 4 and
+    # chi_dd(C_{n+5}) = chi_dd(C_n) + 3 for n >= 5 (both held up to n = 30)
+    for family, first in (("path", 4), ("cycle", 5)):
+        chi = {n: chi_dd_exact(make_named(family, n)).chi_dd for n in range(first, 31)}
+        for n in range(first, 26):
+            assert chi[n + 5] == chi[n] + 3, (family, n, chi[n], chi[n + 5])
+
+
 def test_chi_dd_oracle_examples():
     assert chi_dd_oracle(make_named("star", 3)) == 2
     assert chi_dd_oracle(make_named("cycle", 4)) == 2
