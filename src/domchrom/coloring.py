@@ -20,9 +20,11 @@ class Coloring:
     Input values may have gaps; they are renumbered by first appearance,
     so every class is nonempty and ``class_count <= n`` holds by
     construction.  ``classes[i]`` is the bitset of vertices colored i.
+    Because it never changes, the memo slot ``_judged`` keeps its last
+    judgement (see :func:`_judge`) with the adjacency it was made on.
     """
 
-    __slots__ = ("assignment", "class_count", "classes")
+    __slots__ = ("assignment", "class_count", "classes", "_judged")
 
     def __init__(self, assignment: Iterable[int]):
         values = tuple(assignment)
@@ -42,6 +44,7 @@ class Coloring:
         for v, c in enumerate(dense):
             masks[c] |= 1 << v
         self.classes = tuple(masks)
+        self._judged: tuple[tuple[int, ...], tuple[int, ...], DominationDiagnostic] | None = None
 
     def to_text(self) -> str:
         """Comma-separated color indices in vertex order, e.g. ``0,1,0,1``."""
@@ -50,7 +53,7 @@ class Coloring:
     @classmethod
     def from_text(cls, text: str) -> "Coloring":
         values = []
-        offset = 0
+        offset = len(text) - len(text.lstrip())  # counted in ``text``, not in its stripped copy
         for piece in text.strip().split(","):
             try:
                 values.append(int(piece))
@@ -129,11 +132,18 @@ def classes_dominated_by(g: Graph, c: Coloring, v: int) -> set[int]:
 _OK = DominationDiagnostic((), (), ())
 
 
-def _judge(g: Graph, c: Coloring) -> tuple[list[int], DominationDiagnostic]:
+def _judge(g: Graph, c: Coloring) -> tuple[tuple[int, ...], DominationDiagnostic]:
     """One pass over the vertices: each class's dominator mask (the bitset of
-    vertices whose closed neighborhood contains it) and every violation."""
-    _check_length(g, c)
+    vertices whose closed neighborhood contains it) and every violation.
+
+    The answer is kept on ``c`` with ``g``'s adjacency, so judging ``c``
+    again on an equal graph returns it without a second pass.
+    """
     adj = g.adj
+    memo = c._judged
+    if memo is not None and memo[0] == adj:
+        return memo[1], memo[2]
+    _check_length(g, c)
     closed = g.closed
     classes = c.classes
     full = (1 << g.n) - 1
@@ -146,15 +156,19 @@ def _judge(g: Graph, c: Coloring) -> tuple[list[int], DominationDiagnostic]:
     for d in doms:
         union_d |= d
     if not clash and union_d == full and all(doms):
-        return doms, _OK
-    return doms, DominationDiagnostic(
-        undominating_vertices=tuple(iter_bits(full & ~union_d)),
-        undominated_classes=tuple(i for i, d in enumerate(doms) if not d),
-        # class by class, each class's in edge order
-        improper_edges=tuple(
-            (v, w) for members in classes for v in iter_bits(members) for w in iter_bits(adj[v] & members) if w > v
-        ),
-    )
+        diag = _OK
+    else:
+        diag = DominationDiagnostic(
+            undominating_vertices=tuple(iter_bits(full & ~union_d)),
+            undominated_classes=tuple(i for i, d in enumerate(doms) if not d),
+            # class by class, each class's in edge order
+            improper_edges=tuple(
+                (v, w) for members in classes for v in iter_bits(members) for w in iter_bits(adj[v] & members) if w > v
+            ),
+        )
+    masks = tuple(doms)
+    c._judged = (adj, masks, diag)
+    return masks, diag
 
 
 def is_domination_coloring(g: Graph, c: Coloring) -> tuple[bool, DominationDiagnostic]:

@@ -8,7 +8,7 @@ allocation-light without reaching for numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 GRAPH6_MAX_ORDER = 62  # single-byte graph6 headers only
@@ -118,9 +118,14 @@ class Graph:
 
 @dataclass(frozen=True)
 class CycleSpec:
-    """A cycle given by its vertex sequence (cyclically consecutive = adjacent)."""
+    """A cycle given by its vertex sequence (cyclically consecutive = adjacent).
+
+    :meth:`validate` keeps the adjacency of the last graph it passed in a
+    memo slot, which equality, hashing and repr ignore.
+    """
 
     vertices: tuple[int, ...]
+    _validated: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
@@ -135,6 +140,8 @@ class CycleSpec:
 
     def validate(self, g: Graph) -> None:
         """Raise ValueError unless this is a cycle of ``g``."""
+        if self._validated == g.adj:
+            return
         for v in self.vertices:
             if not 0 <= v < g.n:
                 raise ValueError(f"cycle vertex {v} out of range for order {g.n}")
@@ -142,6 +149,7 @@ class CycleSpec:
         for a, b in zip(seq, seq[1:] + seq[:1]):
             if not g.has_edge(a, b):
                 raise ValueError(f"consecutive cycle vertices {a} and {b} are not adjacent")
+        object.__setattr__(self, "_validated", g.adj)
 
 
 def from_edges(n: int, edges) -> Graph:

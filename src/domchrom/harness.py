@@ -10,10 +10,10 @@ are aggregated per proof case.
 Theorem 5 subdivides the canonical form of G (:func:`canonical_form`),
 not G itself: chi_dd(S(G,k)) depends only on G's isomorphism class and
 no witness reads S(G,k)'s labels, so isomorphic instances share one
-graph6 key in the solve cache, and each theorem-5 outcome, an unknown
-under a tight budget included, follows (class of G, k).  Theorems 1-4
-and 6 keep labeled solves, because their witnesses start from a
-labeled chi_dd-coloring.
+entry in the solve cache (keyed by adjacency tuple), and each theorem-5
+outcome, an unknown under a tight budget included, follows (class of G,
+k).  Theorems 1-4 and 6 keep labeled solves, because their witnesses
+start from a labeled chi_dd-coloring.
 """
 
 from __future__ import annotations
@@ -96,7 +96,8 @@ class HarnessConfig:
             # the smallest subdivided graph, K2 at k=2, has order 3
             raise ValueError(f"subdivided_cap must be at least 3, got {self.subdivided_cap}")
         if self.subdivided_cap > GRAPH6_MAX_ORDER:
-            # the solve cache keys graphs by graph6
+            # graph6's single-byte limit; kept, though the solve cache is
+            # keyed by adjacency tuple now and no longer needs it
             raise ValueError(f"subdivided_cap must be at most {GRAPH6_MAX_ORDER}, got {self.subdivided_cap}")
         if self.cycle_cap < 3:
             raise ValueError(f"cycle_cap must be at least 3, got {self.cycle_cap}")
@@ -130,8 +131,13 @@ class SkippedCheck:
 _UNKNOWN = "solver budget exhausted"
 
 
-def _solve_cached(g: Graph, budget: int, cache: dict[str, SolveResult]) -> SolveResult:
-    key = to_graph6(g)
+# The solve cache of one run, keyed by adjacency tuple (``Graph.adj``), which
+# fixes the graph, its order included; only exact solves are kept.
+_SolveCache = dict[tuple[int, ...], SolveResult]
+
+
+def _solve_cached(g: Graph, budget: int, cache: _SolveCache) -> SolveResult:
+    key = g.adj
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -303,15 +309,16 @@ def check_theorem(
     instance,
     *,
     config: HarnessConfig | None = None,
-    cache: dict[str, SolveResult] | None = None,
+    cache: _SolveCache | None = None,
 ) -> Union[TheoremCheck, SkippedCheck]:
     """Verify one theorem instance; hypothesis violations come back as skips.
 
     A disconnected ``g`` raises ValueError naming the graph, and H is
     built before either solve, so a malformed instance raises the
     operation's ValueError whatever the budget.
-    ``cache`` maps graph6 to exact solves and may be shared across calls;
-    without one, the call solves from scratch.
+    ``cache`` is a solve cache keyed by adjacency tuple: it maps
+    ``Graph.adj`` to exact solves and may be shared across calls; without
+    one, the call solves from scratch.
     """
     spec = _spec(theorem)
     _require_connected(g)
@@ -539,7 +546,7 @@ class CorpusReport:
 
 
 def _check_graph(
-    g: Graph, config: HarnessConfig, cache: dict[str, SolveResult], stats: dict[int, TheoremStats]
+    g: Graph, config: HarnessConfig, cache: _SolveCache, stats: dict[int, TheoremStats]
 ) -> None:
     _require_connected(g)  # also for a graph no theorem has an instance on
     for theorem in config.theorems:
@@ -548,7 +555,7 @@ def _check_graph(
 
 
 # Set in each worker process by _init_worker; lives as long as the pool.
-_worker_cache: dict[str, SolveResult] | None = None
+_worker_cache: _SolveCache | None = None
 
 
 def _init_worker() -> None:
@@ -588,7 +595,7 @@ def run_corpus(
                 for t, s in part.items():
                     stats[t].merge(s)
     else:
-        cache: dict[str, SolveResult] = {}
+        cache: _SolveCache = {}
         for g in graphs:
             count += 1
             _check_graph(g, config, cache, stats)

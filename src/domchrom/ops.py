@@ -4,21 +4,26 @@ k-subdivision, and cycle extending.
 
 Vertex ids are compacted order-preservingly after removal, and a merged
 vertex takes the smaller original id's slot; the ``*_index_map`` helpers
-expose those deterministic mappings so colorings can be transferred.
+expose those deterministic mappings so colorings can be transferred.  A
+map depends only on the order and the ids, so each is built once and
+shared by every caller that asks for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graph import CycleSpec, Graph, iter_bits
 
 
+@lru_cache(maxsize=None)
 def removal_index_map(n: int, v: int) -> tuple[int | None, ...]:
     """Old vertex id -> id in the graph with v removed (None for v)."""
     return tuple(None if w == v else w - (w > v) for w in range(n))
 
 
+@lru_cache(maxsize=None)
 def contraction_index_map(n: int, u: int, v: int) -> tuple[int, ...]:
     """Old vertex id -> id after merging u and v into min(u, v)'s slot."""
     u, v = sorted((u, v))

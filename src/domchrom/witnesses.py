@@ -96,7 +96,7 @@ class WitnessOutcome:
     gap_report: GapReport | None
 
 
-def _require_dom(g: Graph, c: Coloring, role: str) -> list[int]:
+def _require_dom(g: Graph, c: Coloring, role: str) -> tuple[int, ...]:
     """Raise unless ``c`` is a domination coloring of ``g``; return each class's dominator mask."""
     doms, diag = _judge(g, c)
     if not diag.ok:
@@ -175,7 +175,7 @@ def extend_witness(kind: str, g: Graph, params, base: Coloring, h: Graph | None 
     raise ValueError(f"unknown extend kind {kind!r}; expected one of {EXTEND_KINDS}")
 
 
-def _classes_dominated_only_by(c: Coloring, doms: list[int], v: int) -> int:
+def _classes_dominated_only_by(c: Coloring, doms: tuple[int, ...], v: int) -> int:
     """Bitset of vertices lying in classes whose sole dominator is v, given
     the dominator mask of each class of ``c``."""
     vbit = 1 << v

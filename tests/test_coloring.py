@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,8 +28,27 @@ def test_coloring_text_round_trip():
     with pytest.raises(ValueError) as exc:
         Coloring.from_text("0,x,1")
     assert "byte offset 2" in str(exc.value)
+    # offsets count from the text as given, leading whitespace included
+    for text, where in (("  0,x", "'x' (byte offset 4)"), ("\t1,2,,3", "'' (byte offset 5)")):
+        with pytest.raises(ValueError) as exc:
+            Coloring.from_text(text)
+        assert where in str(exc.value)
     with pytest.raises(ValueError):
         Coloring([-1, 0])
+
+
+def test_coloring_pickles_with_and_without_a_judged_memo():
+    # a filled memo travels with a pickled coloring and never affects equality
+    c4 = make_named("cycle", 4)
+    for text in ("0,1,0,1", "0,0,1,1"):
+        c = Coloring.from_text(text)
+        blank = pickle.loads(pickle.dumps(c))
+        judged = _judge(c4, c)
+        copy = pickle.loads(pickle.dumps(c))
+        assert copy._judged == c._judged and blank._judged is None
+        for other in (blank, copy):
+            assert other == c and hash(other) == hash(c)
+            assert _judge(c4, other) == judged
 
 
 def test_is_proper_examples():
@@ -166,21 +187,28 @@ def test_diagnostic_iff_definition(data):
 def test_checker_matches_definition_on_every_small_coloring():
     # every labeled graph with n <= 5, connected or not, under every set
     # partition of its vertices: valid colorings take the shared verdict, so
-    # both of the checker's exits are covered
+    # both of the checker's exits are covered.  Each coloring is judged on
+    # its graph, then on the complement (same order, other edges), then on
+    # an equal copy of its graph, so a memo that answers for a graph that
+    # merely has the same order shows.
     pairs = valid = 0
     for n in range(1, 6):
         partitions = [Coloring(p) for p in _set_partitions(n)]
-        for code in range(1 << (n * (n - 1) // 2)):
+        all_pairs = (1 << (n * (n - 1) // 2)) - 1
+        for code in range(all_pairs + 1):
             g = _graph_from_code(n, code)
+            complement = _graph_from_code(n, code ^ all_pairs)
+            copy = _graph_from_code(n, code)
             for c in partitions:
-                doms, diag = _judge(g, c)
-                want_doms, want_diag = _by_definition(g, c)
-                assert [set(iter_bits(d)) for d in doms] == want_doms, (g.adj, c)
-                assert (diag.improper_edges, diag.undominated_classes, diag.undominating_vertices) == want_diag, (
-                    g.adj, c,
-                )
+                want = _by_definition(g, c)
+                for graph, expected in ((g, want), (complement, _by_definition(complement, c)), (copy, want)):
+                    doms, diag = _judge(graph, c)
+                    assert [set(iter_bits(d)) for d in doms] == expected[0], (graph.adj, c)
+                    assert (diag.improper_edges, diag.undominated_classes, diag.undominating_vertices) == expected[1], (
+                        graph.adj, c,
+                    )
                 pairs += 1
-                valid += diag.ok
+                valid += not any(want[1])
     assert pairs == 1 + 2 * 2 + 8 * 5 + 64 * 15 + 1024 * 52
     assert 0 < valid < pairs
 

@@ -267,6 +267,33 @@ def test_cycle_spec_validation():
     c.validate(make_named("complete", 3))
 
 
+def test_cycle_spec_validated_once_still_checks_every_other_graph():
+    # validating on C4 must not vouch for a graph where the cycle is absent,
+    # whether it has the same order or another one
+    cyc = CycleSpec((0, 1, 2, 3))
+    c4 = make_named("cycle", 4)
+    cyc.validate(c4)
+    for g in (make_named("path", 4), make_named("star", 3), make_named("cycle", 5), make_named("path", 3)):
+        with pytest.raises(ValueError):
+            cyc.validate(g)
+    cyc.validate(from_edges(4, c4.edges()))  # an equal copy passes
+
+
+def test_cycle_spec_pickles_with_and_without_a_validated_memo():
+    # a filled memo travels with a pickled cycle and never affects equality
+    c4 = make_named("cycle", 4)
+    cyc = CycleSpec((0, 1, 2, 3))
+    blank = pickle.loads(pickle.dumps(cyc))
+    cyc.validate(c4)
+    copy = pickle.loads(pickle.dumps(cyc))
+    assert copy._validated == c4.adj and blank._validated is None
+    for other in (blank, copy):
+        assert other == cyc and hash(other) == hash(cyc) and repr(other) == repr(cyc)
+        other.validate(c4)
+        with pytest.raises(ValueError):
+            other.validate(make_named("path", 4))
+
+
 def test_corpus_counts_and_agreement_with_connectivity_filter():
     # the union-find generator and the BFS connectivity filter must agree
     for n, want in enumerate(CONNECTED_COUNTS[:5], start=1):

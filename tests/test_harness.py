@@ -88,6 +88,21 @@ def test_check_theorem_rejects_bad_instance():
         check_theorem(7, make_named("path", 3), 0)
 
 
+def test_solve_cache_solves_each_distinct_graph_once(monkeypatch):
+    # the run's cache is keyed by adjacency tuple: every graph, G or H, is
+    # solved once however many instances meet it; the count is pinned
+    solves = []
+
+    def counting(g, budget):
+        solves.append(g.adj)
+        return chi_dd_exact(g, budget)
+
+    monkeypatch.setattr(harness, "chi_dd_exact", counting)
+    report = run_corpus(corpus_up_to(5), HarnessConfig())
+    assert sum(s.instances for s in report.per_theorem.values()) == 18302
+    assert len(solves) == len(set(solves)) == 2937
+
+
 def test_malformed_instance_raises_before_any_solve(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("solved a malformed instance")
