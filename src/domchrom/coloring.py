@@ -52,15 +52,16 @@ class Coloring:
 
     @classmethod
     def from_text(cls, text: str) -> "Coloring":
+        """Parse :meth:`to_text` output; an invalid color is named with its
+        offset in ``text`` in UTF-8 bytes."""
         values = []
         offset = len(text) - len(text.lstrip())  # counted in ``text``, not in its stripped copy
         for piece in text.strip().split(","):
             try:
                 values.append(int(piece))
             except ValueError:
-                raise ValueError(
-                    f"invalid color {piece!r} (byte offset {offset})"
-                ) from None
+                where = len(text[:offset].encode("utf-8"))  # whitespace and parsed colors only
+                raise ValueError(f"invalid color {piece!r} (byte offset {where})") from None
             offset += len(piece) + 1
         return cls(values)
 

@@ -4,12 +4,21 @@ Vertices are the integers 0..n-1 and every neighborhood is a Python int
 bitset, so set intersection, union and containment are single integer
 operations.  That keeps the solver and the exhaustive corpus sweeps
 allocation-light without reaching for numpy.
+
+Three kernels treat whole graphs as single integers.  ``Graph`` packs
+its masks into one bit matrix and checks range, loops and symmetry with a
+handful of big-integer operations, falling back to a per-edge loop only
+to name what is wrong; :func:`to_graph6` packs the upper triangle column
+by column; :func:`enumerate_connected_graphs` grows every graph from the
+graphs one vertex smaller, carrying their components along.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from functools import lru_cache
+from operator import or_
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 GRAPH6_MAX_ORDER = 62  # single-byte graph6 headers only
 GENERATOR_MAX_ORDER = 7  # 2^21 candidate edge masks is the exhaustive limit
@@ -31,12 +40,110 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+@lru_cache(maxsize=None)
+def _matrix_masks(width: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The diagonal of a ``width`` x ``width`` row-major bit matrix (bit
+    ``r * width + c`` is entry (r, c)), and the delta swaps that transpose
+    it (Warren, *Hacker's Delight*, section 7-3): for each block size j,
+    from width/2 down to 1, the entries (r, c) with r & j == 0 and
+    c & j != 0, each swapped with (r + j, c - j), j * (width - 1) bits up."""
+    diag = sum(1 << (v * width + v) for v in range(width))
+    swaps = []
+    j = width // 2
+    while j:
+        cols = sum(1 << c for c in range(width) if c & j)
+        swaps.append((j * (width - 1), sum(cols << (r * width) for r in range(width) if not r & j)))
+        j //= 2
+    return diag, tuple(swaps)
+
+
+class _Kernel(NamedTuple):
+    """The validation kernel's tables for one graph order."""
+
+    pack: Callable[[tuple], int]  # the masks as rows of one bit matrix
+    reject: int  # the bits a simple graph leaves clear
+    swaps: tuple[tuple[int, int], ...]  # the transposing delta swaps
+    own: tuple[int, ...]  # each vertex's own bit, which closes its neighbourhood
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: Graph(3.0, ...) must fail as before, cached 3 or not
+def _order_kernel(n: int) -> _Kernel:
+    """The kernel for order ``n``.  Its matrix width is a power of two, at
+    least 8 and at least n; a simple graph has no bit in a column >= n and
+    none on the diagonal."""
+    full = (1 << n) - 1
+    width = max(8, 1 << (n - 1).bit_length())
+    diag, swaps = _matrix_masks(width)
+    rows = sum(1 << (v * width) for v in range(n))
+    reject = ~(full * rows) | diag
+    if width == 8:
+        def pack(masks: tuple) -> int:
+            return int.from_bytes(bytes(masks), "little")
+    else:
+        size = width // 8
+
+        def pack(masks: tuple) -> int:
+            return int.from_bytes(b"".join([mask.to_bytes(size, "little") for mask in masks]), "little")
+    return _Kernel(pack, reject, swaps, tuple(1 << v for v in range(n)))
+
+
+def _packed_degree_sum(masks: tuple, kernel: _Kernel) -> int | None:
+    """The degree sum of the simple graph with these masks, or None if
+    they are not one or do not pack into the kernel's bit matrix x (a
+    negative mask, a bit beyond the matrix width, a non-int).
+
+    With the masks as rows, x is a simple graph's adjacency matrix iff it
+    has no bit where ``kernel.reject`` has one and equals its transpose."""
+    try:
+        x = kernel.pack(masks)
+    except (TypeError, ValueError, OverflowError, AttributeError):
+        return None
+    if x & kernel.reject:
+        return None
+    t = x
+    for shift, keep in kernel.swaps:
+        d = (t ^ (t >> shift)) & keep
+        t ^= d ^ (d << shift)
+    return x.bit_count() if t == x else None
+
+
+def _checked_degree_sum(n: int, masks: tuple) -> int:
+    """The degree sum of the simple graph with these masks, checked mask
+    by mask and edge by edge; raises ValueError naming the first offence:
+    a vertex >= n, then a self-loop (both in vertex order), then the first
+    asymmetric pair.  Runs only where :func:`_packed_degree_sum` gave None,
+    so valid int masks never reach it."""
+    full = (1 << n) - 1
+    degree_sum = 0
+    for v, mask in enumerate(masks):
+        if mask & ~full:
+            raise ValueError(f"neighbor mask of vertex {v} mentions vertices >= {n}")
+        if (mask >> v) & 1:
+            raise ValueError(f"self-loop at vertex {v}")
+        degree_sum += mask.bit_count()
+    for v, mask in enumerate(masks):
+        bit = 1 << v
+        while mask:
+            low = mask & -mask
+            u = low.bit_length() - 1
+            if not masks[u] & bit:
+                raise ValueError(f"asymmetric adjacency between {u} and {v}")
+            mask ^= low
+    return degree_sum
+
+
 class Graph:
     """Simple undirected graph, immutable once constructed.
 
     ``adj[v]`` is the open-neighborhood bitset of ``v``; ``closed[v]``
-    additionally contains ``v`` itself.  Construction validates symmetry
-    and loop-freeness, so any reachable instance is a simple graph.
+    additionally contains ``v`` itself.  Construction validates range,
+    loop-freeness and symmetry, so any reachable instance is a simple
+    graph.  The check is :func:`_packed_degree_sum`: the masks become the
+    rows of one bit matrix, which must have no bit in a column >= n or on
+    the diagonal and must equal its transpose.  Only when that fails, or
+    the masks do not pack, does :func:`_checked_degree_sum` walk the
+    masks edge by edge, to raise the error that names the first offence;
+    a valid graph never pays for the loop.
     Because it never changes, :func:`to_graph6`, :func:`canonical_form`,
     :func:`is_connected` and the cut structure behind
     :func:`cut_vertices`/:func:`bridges` are computed once per instance
@@ -51,26 +158,14 @@ class Graph:
             raise ValueError("graph order must be at least 1")
         if len(masks) != n:
             raise ValueError(f"expected {n} neighbor masks, got {len(masks)}")
-        full = (1 << n) - 1
-        degree_sum = 0
-        for v, mask in enumerate(masks):
-            if mask & ~full:
-                raise ValueError(f"neighbor mask of vertex {v} mentions vertices >= {n}")
-            if (mask >> v) & 1:
-                raise ValueError(f"self-loop at vertex {v}")
-            degree_sum += mask.bit_count()
-        for v, mask in enumerate(masks):
-            bit = 1 << v
-            while mask:
-                low = mask & -mask
-                u = low.bit_length() - 1
-                if not masks[u] & bit:
-                    raise ValueError(f"asymmetric adjacency between {u} and {v}")
-                mask ^= low
+        kernel = _order_kernel(n)
+        degree_sum = _packed_degree_sum(masks, kernel)
+        if degree_sum is None:
+            degree_sum = _checked_degree_sum(n, masks)
         self.n = n
         self.m = degree_sum // 2
         self.adj = masks
-        self.closed = tuple(mask | (1 << v) for v, mask in enumerate(masks))
+        self.closed = tuple(map(or_, masks, kernel.own))
         self._graph6: str | None = None
         self._canonical: Graph | None = None
         self._connected: bool | None = None
@@ -226,27 +321,31 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, masks)
 
 
+# graph6 body characters by six-bit group read lowest bit first: the
+# format puts the group's first pair in the most significant bit
+_GRAPH6_CHARS = tuple(chr(63 + int(f"{group:06b}"[::-1], 2)) for group in range(64))
+
+
 def to_graph6(g: Graph) -> str:
-    """Encode a graph as one graph6 line; inverse of :func:`parse_graph6`."""
+    """Encode a graph as one graph6 line; inverse of :func:`parse_graph6`.
+
+    Column j of the upper triangle, ``adj[j]`` below bit j, is ORed into
+    one integer at bit offset j(j-1)/2, so bit t is the t-th pair in
+    graph6 order; each six-bit group becomes one character through a
+    bit-reversing table.  Bits past the last pair are zero, which is the
+    format's padding.
+    """
     if g._graph6 is not None:
         return g._graph6
     if g.n > GRAPH6_MAX_ORDER:
         raise ValueError(f"graph6 encoder supports n <= {GRAPH6_MAX_ORDER}, got {g.n}")
-    out = [chr(63 + g.n)]
-    group = 0
-    filled = 0
-    for j in range(1, g.n):
-        col = g.adj[j]
-        for i in range(j):
-            group = (group << 1) | ((col >> i) & 1)
-            filled += 1
-            if filled == 6:
-                out.append(chr(63 + group))
-                group = 0
-                filled = 0
-    if filled:
-        out.append(chr(63 + (group << (6 - filled))))
-    g._graph6 = "".join(out)
+    bits = 0
+    offset = 0
+    for j, mask in enumerate(g.adj):
+        bits |= (mask & ((1 << j) - 1)) << offset
+        offset += j
+    chars = _GRAPH6_CHARS
+    g._graph6 = chr(63 + g.n) + "".join([chars[(bits >> t) & 63] for t in range(0, offset, 6)])
     return g._graph6
 
 
@@ -473,37 +572,52 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     """All labeled simple connected graphs of order ``n``, in ascending
     edge-mask order (bit t of the mask is the t-th pair (0,1),(0,2),(1,2),...).
 
-    Connectivity here is decided by union-find, independently of the
-    traversal in :func:`is_connected`.
+    Order k is built from order k-1 by vertex extension (McKay,
+    "Isomorph-free exhaustive generation", 1998, in its labeled form):
+    every graph of order k-1, connected or not, gains vertex k-1 with
+    each neighbourhood h.  The pairs of vertex k-1 are the last k-1 bits
+    of the mask, so a graph's code is its order-(k-1) code plus
+    ``h << (k-1)(k-2)/2``; with h in the outer loop and the order-(k-1)
+    graphs, kept in code order, in the inner one, codes ascend.  Each
+    graph keeps its components as vertex bitsets, and the new vertex
+    merges the components that h touches; at order n only the extensions
+    whose h touches every component are connected.  That decides
+    connectivity independently of the traversal in :func:`is_connected`.
+    The tables live for one call.
     """
     if not 1 <= n <= GENERATOR_MAX_ORDER:
         raise ValueError(
             f"corpus generator supports 1 <= n <= {GENERATOR_MAX_ORDER}, got {n}"
         )
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    for code in range(1 << len(pairs)):
-        masks = [0] * n
-        parent = list(range(n))
-        components = n
-        rest = code
-        t = 0
-        while rest:
-            if rest & 1:
-                i, j = pairs[t]
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-                ri = i
-                while parent[ri] != ri:
-                    parent[ri] = parent[parent[ri]]
-                    ri = parent[ri]
-                rj = j
-                while parent[rj] != rj:
-                    parent[rj] = parent[parent[rj]]
-                    rj = parent[rj]
-                if ri != rj:
-                    parent[rj] = ri
-                    components -= 1
-            rest >>= 1
-            t += 1
-        if components == 1:
-            yield Graph(n, masks)
+    layer: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]  # order 0: masks, components
+    for k in range(n - 1):
+        bit = 1 << k
+        grown = []
+        for h in range(bit):
+            links = tuple(bit if (h >> v) & 1 else 0 for v in range(k))
+            for masks, components in layer:
+                merged = bit
+                apart = []
+                for c in components:
+                    if c & h:
+                        merged |= c
+                    else:
+                        apart.append(c)
+                apart.append(merged)
+                grown.append(((*map(or_, masks, links), h), tuple(apart)))
+        layer = grown
+    k = n - 1
+    bit = 1 << k
+    # bit h of touching[c] is set iff neighbourhood h meets component c
+    touching = [sum(1 << h for h in range(bit) if h & c) for c in range(bit)]
+    last = []
+    for masks, components in layer:
+        connecting = -1  # bit h set iff h meets every component
+        for c in components:
+            connecting &= touching[c]
+        last.append((masks, connecting))
+    for h in range(bit):
+        links = tuple(bit if (h >> v) & 1 else 0 for v in range(k))
+        for masks, connecting in last:
+            if (connecting >> h) & 1:
+                yield Graph(n, (*map(or_, masks, links), h))

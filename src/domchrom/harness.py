@@ -27,7 +27,6 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Union
 
 from .graph import (
-    GRAPH6_MAX_ORDER,
     CycleSpec,
     Graph,
     bridges,
@@ -95,10 +94,6 @@ class HarnessConfig:
         if self.subdivided_cap < 3:
             # the smallest subdivided graph, K2 at k=2, has order 3
             raise ValueError(f"subdivided_cap must be at least 3, got {self.subdivided_cap}")
-        if self.subdivided_cap > GRAPH6_MAX_ORDER:
-            # graph6's single-byte limit; kept, though the solve cache is
-            # keyed by adjacency tuple now and no longer needs it
-            raise ValueError(f"subdivided_cap must be at most {GRAPH6_MAX_ORDER}, got {self.subdivided_cap}")
         if self.cycle_cap < 3:
             raise ValueError(f"cycle_cap must be at least 3, got {self.cycle_cap}")
 

@@ -28,8 +28,14 @@ def test_coloring_text_round_trip():
     with pytest.raises(ValueError) as exc:
         Coloring.from_text("0,x,1")
     assert "byte offset 2" in str(exc.value)
-    # offsets count from the text as given, leading whitespace included
-    for text, where in (("  0,x", "'x' (byte offset 4)"), ("\t1,2,,3", "'' (byte offset 5)")):
+    # offsets count UTF-8 bytes of the text as given, leading whitespace
+    # included: U+3000 is a 3-byte space, the Arabic-Indic digit 3 takes 2
+    for text, where in (
+        ("  0,x", "'x' (byte offset 4)"),
+        ("\t1,2,,3", "'' (byte offset 5)"),
+        ("\u3000 0,x", "'x' (byte offset 6)"),
+        ("0,\u0663,x", "'x' (byte offset 5)"),
+    ):
         with pytest.raises(ValueError) as exc:
             Coloring.from_text(text)
         assert where in str(exc.value)

@@ -23,10 +23,10 @@ from domchrom.graph import (
     parse_graph6,
     to_graph6,
 )
-from domchrom.ops import remove_edge, remove_vertex
+from domchrom.ops import remove_edge, remove_vertex, subdivide
 
-# labeled connected graph counts for n = 1..6
-CONNECTED_COUNTS = [1, 1, 4, 38, 728, 26704]
+# labeled connected graph counts for n = 1..7 (OEIS A001187)
+CONNECTED_COUNTS = [1, 1, 4, 38, 728, 26704, 1866256]
 # connected graphs up to isomorphism for n = 1..6 (OEIS A001349)
 CONNECTED_CLASSES = [1, 1, 2, 6, 21, 112]
 
@@ -80,6 +80,84 @@ def test_graph_rejects_asymmetric_masks():
         Graph(3, [0b010, 0b000, 0b1000])
 
 
+def _per_edge(n, masks):
+    """Graph's contract checked pair by pair: (n, m, adj, closed) of a
+    simple graph, or the text of the ValueError it must raise."""
+    masks = list(masks)
+    if len(masks) != n:
+        return f"expected {n} neighbor masks, got {len(masks)}"
+    for v, mask in enumerate(masks):
+        if mask < 0 or mask >> n:
+            return f"neighbor mask of vertex {v} mentions vertices >= {n}"
+        if (mask >> v) & 1:
+            return f"self-loop at vertex {v}"
+    for v in range(n):
+        for u in range(n):
+            if (masks[v] >> u) & 1 and not (masks[u] >> v) & 1:
+                return f"asymmetric adjacency between {u} and {v}"
+    m = sum(bin(mask).count("1") for mask in masks) // 2
+    return n, m, tuple(masks), tuple(mask | 1 << v for v, mask in enumerate(masks))
+
+
+def _built(n, masks):
+    try:
+        g = Graph(n, masks)
+    except ValueError as exc:
+        return str(exc)
+    return g.n, g.m, g.adj, g.closed
+
+
+def _corruptions(n, masks, rng):
+    """One-bit corruptions of a valid graph's masks, each named."""
+    out = {"valid": masks}
+    edges = [(u, v) for v in range(n) for u in range(n) if (masks[v] >> u) & 1]
+    if edges:
+        u, v = rng.choice(edges)
+        out["dropped mirror bit"] = [mask & ~(1 << u) if w == v else mask for w, mask in enumerate(masks)]
+    v = rng.randrange(n)
+    out["self-loop"] = [mask | (1 << v) if w == v else mask for w, mask in enumerate(masks)]
+    width = max(8, 1 << (n - 1).bit_length())
+    for where in (n, width - 1, width, rng.randrange(n, 2 * width + 3)):
+        if where >= n:
+            out[f"bit {where}"] = [mask | (1 << where) if w == v else mask for w, mask in enumerate(masks)]
+    out["negative mask"] = [~mask if w == v else mask for w, mask in enumerate(masks)]
+    out["one mask short"] = masks[:-1]
+    out["one mask over"] = masks + [0]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 16, 17, 32, 33, 62, 64, 65, 100])
+def test_graph_kernel_matches_the_per_edge_definition(n):
+    # random valid masks and one-bit corruptions of them, on both sides of
+    # every matrix width the kernel switches at: Graph raises exactly when
+    # the pair-by-pair definition does, with its message, and otherwise
+    # builds the same graph
+    rng = random.Random(f"graph-kernel:{n}")
+    for density in (0.0, 0.1, 0.5, 0.9, 1.0):
+        masks = [0] * n
+        for j in range(n):
+            for i in range(j):
+                if rng.random() < density:
+                    masks[i] |= 1 << j
+                    masks[j] |= 1 << i
+        for name, variant in _corruptions(n, masks, rng).items():
+            want = _per_edge(n, variant)
+            assert _built(n, variant) == want, (n, density, name)
+            if name != "valid":
+                assert isinstance(want, str), (n, density, name)
+
+
+def test_graph_kernel_validates_a_subdivision_of_order_70():
+    # above graph6's 62 and above 64: the kernel's matrix is 128 bits wide
+    h, _ = subdivide(make_named("cycle", 5), 14)
+    assert (h.n, h.m) == (70, 70)
+    assert all(h.degree(v) == 2 for v in range(h.n)) and is_connected(h)
+    assert _built(h.n, h.adj) == _per_edge(h.n, h.adj)
+    rng = random.Random(70)
+    for name, variant in _corruptions(h.n, list(h.adj), rng).items():
+        assert _built(h.n, variant) == _per_edge(h.n, variant), name
+
+
 def test_make_named_families():
     p4 = make_named("path", 4)
     assert p4.edges() == [(0, 1), (1, 2), (2, 3)]
@@ -124,11 +202,24 @@ def test_graph6_errors_carry_offsets():
 
 
 def test_graph6_round_trip_small_corpus():
-    for n in range(1, 6):
+    # parse_graph6 decodes pair by pair, independently of the column encoder
+    for n in range(1, 7):
         for g in enumerate_connected_graphs(n):
             s = to_graph6(g)
             assert parse_graph6(s) == g
             assert to_graph6(parse_graph6(s)) == s
+
+
+@pytest.mark.parametrize("n", [7, 8, 13, 40, 62])
+def test_graph6_round_trip_random_graphs(n):
+    rng = random.Random(f"graph6:{n}")
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    for density in (0.0, 0.05, 0.3, 0.5, 0.8, 1.0):
+        for _ in range(4):
+            g = from_edges(n, [p for p in pairs if rng.random() < density])
+            s = to_graph6(g)
+            assert len(s) == 1 + (len(pairs) + 5) // 6
+            assert parse_graph6(s) == g
 
 
 def test_is_connected():
@@ -295,8 +386,10 @@ def test_cycle_spec_pickles_with_and_without_a_validated_memo():
 
 
 def test_corpus_counts_and_agreement_with_connectivity_filter():
-    # the union-find generator and the BFS connectivity filter must agree
-    for n, want in enumerate(CONNECTED_COUNTS[:5], start=1):
+    # the vertex-extension generator, which tracks components as bitsets,
+    # and the BFS connectivity filter over every edge mask must agree,
+    # graph for graph and in order
+    for n, want in enumerate(CONNECTED_COUNTS[:6], start=1):
         streamed = list(enumerate_connected_graphs(n))
         assert len(streamed) == want
         pairs = [(i, j) for j in range(1, n) for i in range(j)]
@@ -315,6 +408,10 @@ def test_corpus_counts_and_agreement_with_connectivity_filter():
 
 def test_corpus_count_n6():
     assert sum(1 for _ in enumerate_connected_graphs(6)) == CONNECTED_COUNTS[5]
+
+
+def test_corpus_count_n7():
+    assert sum(1 for _ in enumerate_connected_graphs(7)) == CONNECTED_COUNTS[6]
 
 
 def test_generator_guard():

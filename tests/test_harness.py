@@ -218,12 +218,14 @@ def test_harness_config_rejects_bad_values():
         ({"k_values": (3, 0)}, "k_values must be at least 2, got 3,0"),
         ({"k_values": (2, 3, 2)}, "k_values repeat in 2,3,2"),
         ({"subdivided_cap": 2}, "subdivided_cap must be at least 3, got 2"),
-        ({"subdivided_cap": 63}, "subdivided_cap must be at most 62, got 63"),
         ({"cycle_cap": 2}, "cycle_cap must be at least 3, got 2"),
         ({"cycle_cap": -1}, "cycle_cap must be at least 3, got -1"),
     ]:
         with pytest.raises(ValueError, match=message):
             HarnessConfig(**kwargs)
+    # the solve cache keys graphs by adjacency, so graph6's limit of 62 is no cap
+    for cap in (62, 63, 100):
+        assert HarnessConfig(subdivided_cap=cap).subdivided_cap == cap
 
 
 def test_report_determinism():
