@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import or_
+from operator import index, or_
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-GRAPH6_MAX_ORDER = 62  # single-byte graph6 headers only
+GRAPH6_MAX_ORDER = 258_047  # the largest order graph6's 4-byte header holds
 GENERATOR_MAX_ORDER = 7  # 2^21 candidate edge masks is the exhaustive limit
 
 
@@ -78,6 +78,10 @@ def _order_kernel(n: int) -> _Kernel:
     reject = ~(full * rows) | diag
     if width == 8:
         def pack(masks: tuple) -> int:
+            # bytes() reads any mask through __index__; the sum is a plain
+            # int only if every mask is one, so others go to the slow path
+            if type(sum(masks)) is not int:
+                raise TypeError("non-int mask")
             return int.from_bytes(bytes(masks), "little")
     else:
         size = width // 8
@@ -143,7 +147,9 @@ class Graph:
     the diagonal and must equal its transpose.  Only when that fails, or
     the masks do not pack, does :func:`_checked_degree_sum` walk the
     masks edge by edge, to raise the error that names the first offence;
-    a valid graph never pays for the loop.
+    a valid graph of int masks never pays for the loop.  Non-int masks
+    (numpy integers, say) never pack: that path stores them as plain
+    ints through ``operator.index``, which raises TypeError for a float.
     Because it never changes, :func:`to_graph6`, :func:`canonical_form`,
     :func:`is_connected` and the cut structure behind
     :func:`cut_vertices`/:func:`bridges` are computed once per instance
@@ -161,6 +167,7 @@ class Graph:
         kernel = _order_kernel(n)
         degree_sum = _packed_degree_sum(masks, kernel)
         if degree_sum is None:
+            masks = tuple(map(index, masks))  # plain ints; TypeError for a non-integral mask
             degree_sum = _checked_degree_sum(n, masks)
         self.n = n
         self.m = degree_sum // 2
@@ -282,11 +289,15 @@ def make_named(family: str, n: int) -> Graph:
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 line (orders 1..62, single-byte header form).
+    """Decode one graph6 line of order 1..258,047.
 
-    The body packs the upper triangle column-by-column, bit (i, j) for
-    i < j in the order (0,1), (0,2), (1,2), (0,3), ..., six bits per byte
-    (most significant first), each byte offset by 63, padded with zeros.
+    The header is one byte, n + 63, for n <= 62, and ``~`` then n in
+    three six-bit bytes (most significant first, each offset by 63) for
+    63 <= n <= 258,047; the 8-byte ``~~`` form for larger orders is
+    rejected.  The body packs the upper triangle column-by-column, bit
+    (i, j) for i < j in the order (0,1), (0,2), (1,2), (0,3), ..., six
+    bits per byte (most significant first), each byte offset by 63,
+    padded with zeros.
     """
     s = text.rstrip("\n")
     if not s:
@@ -294,22 +305,31 @@ def parse_graph6(text: str) -> Graph:
     for idx, ch in enumerate(s):
         if not 63 <= ord(ch) <= 126:
             raise Graph6Error(f"byte {ord(ch)!r} outside graph6 range 63..126", idx)
-    if s[0] == "~":
-        raise Graph6Error(f"multi-byte order header (n > {GRAPH6_MAX_ORDER}) unsupported", 0)
-    n = ord(s[0]) - 63
-    if n < 1:
-        raise Graph6Error("graph order must be at least 1", 0)
+    if s[0] != "~":
+        head = 1
+        n = ord(s[0]) - 63
+        if n < 1:
+            raise Graph6Error("graph order must be at least 1", 0)
+    else:
+        if s[1:2] == "~":
+            raise Graph6Error(f"8-byte order header (n > {GRAPH6_MAX_ORDER}) unsupported", 0)
+        head = 4
+        if len(s) < head:
+            raise Graph6Error("truncated 4-byte order header", len(s))
+        n = (ord(s[1]) - 63) << 12 | (ord(s[2]) - 63) << 6 | (ord(s[3]) - 63)
+        if n < 63:
+            raise Graph6Error(f"order {n} takes a one-byte header, not a 4-byte one", 0)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(s) < 1 + nbytes:
-        raise Graph6Error(f"truncated body: expected {1 + nbytes} bytes, got {len(s)}", len(s))
-    if len(s) > 1 + nbytes:
-        raise Graph6Error("trailing garbage after graph6 body", 1 + nbytes)
+    if len(s) < head + nbytes:
+        raise Graph6Error(f"truncated body: expected {head + nbytes} bytes, got {len(s)}", len(s))
+    if len(s) > head + nbytes:
+        raise Graph6Error("trailing garbage after graph6 body", head + nbytes)
     masks = [0] * n
     t = 0
     for j in range(1, n):
         for i in range(j):
-            byte = ord(s[1 + t // 6]) - 63
+            byte = ord(s[head + t // 6]) - 63
             if (byte >> (5 - t % 6)) & 1:
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
@@ -329,15 +349,20 @@ _GRAPH6_CHARS = tuple(chr(63 + int(f"{group:06b}"[::-1], 2)) for group in range(
 def to_graph6(g: Graph) -> str:
     """Encode a graph as one graph6 line; inverse of :func:`parse_graph6`.
 
-    Column j of the upper triangle, ``adj[j]`` below bit j, is ORed into
-    one integer at bit offset j(j-1)/2, so bit t is the t-th pair in
-    graph6 order; each six-bit group becomes one character through a
-    bit-reversing table.  Bits past the last pair are zero, which is the
+    The header is one byte up to order 62 and ``~`` plus three bytes
+    above that.  Column j of the upper triangle, ``adj[j]`` below bit j,
+    is ORed into one integer at bit offset j(j-1)/2, so bit t is the t-th
+    pair in graph6 order; each six-bit group becomes one character
+    through a bit-reversing table.  Bits past the last pair are zero, which is the
     format's padding.
     """
     if g._graph6 is not None:
         return g._graph6
-    if g.n > GRAPH6_MAX_ORDER:
+    if g.n <= 62:
+        header = chr(63 + g.n)
+    elif g.n <= GRAPH6_MAX_ORDER:
+        header = "~" + "".join([chr(63 + (g.n >> shift & 63)) for shift in (12, 6, 0)])
+    else:
         raise ValueError(f"graph6 encoder supports n <= {GRAPH6_MAX_ORDER}, got {g.n}")
     bits = 0
     offset = 0
@@ -345,7 +370,7 @@ def to_graph6(g: Graph) -> str:
         bits |= (mask & ((1 << j) - 1)) << offset
         offset += j
     chars = _GRAPH6_CHARS
-    g._graph6 = chr(63 + g.n) + "".join([chars[(bits >> t) & 63] for t in range(0, offset, 6)])
+    g._graph6 = header + "".join([chars[(bits >> t) & 63] for t in range(0, offset, 6)])
     return g._graph6
 
 

@@ -22,6 +22,13 @@ drive the pruning:
 Every cut removes only subtrees that hold no solution, so the first
 coloring found is the first in search order whatever the bounds.
 
+A solve builds one plan for all the k levels it tries: the search
+order, sorted once, and per depth the vertex's bit, closed neighborhood
+and non-neighbors, the unplaced vertices and the ball; the lower bound
+walks the same order.  Each node gets the union of its open classes'
+dominator sets from its parent, the value it used to OR up itself, so
+the tree, its node count and its first coloring do not change.
+
 The oracle ignores all of that and scans every set partition, by class
 count and then in restricted-growth order.  It judges each partition
 through a per-graph table, built once per call, of the vertices that
@@ -33,7 +40,10 @@ oracle returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import accumulate
+from operator import or_
+from typing import NamedTuple
 
 from .coloring import Coloring, is_domination_coloring
 from .graph import Graph, is_connected, make_named
@@ -81,60 +91,70 @@ def _search_order(g: Graph) -> list[int]:
     return sorted(range(g.n), key=lambda v: (-g.adj[v].bit_count(), v))
 
 
-def _greedy_clique(g: Graph) -> int:
+class _Plan(NamedTuple):
+    """What every k level of one solve reads of its graph, built once by
+    :func:`_plan`; entry idx of a per-depth list is about ``order[idx]``."""
+
+    order: list[int]
+    bit: list[int]  # per depth: the vertex's own bit
+    closed: list[int]  # its closed neighborhood
+    nonadj: list[int]  # full & ~adj: the vertices that may share its class
+    remaining: list[int]  # the vertices placed here or deeper (0 past the end)
+    ball: list[int]  # the size of the largest closed neighborhood among them
+    vertex_closed: tuple[int, ...]  # closed neighborhoods by vertex id
+    full: int
+
+
+def _plan(g: Graph) -> _Plan:
+    order = _search_order(g)
+    full = (1 << g.n) - 1
+    bit = [1 << u for u in order]
+    closed = [g.closed[u] for u in order]
+    nonadj = [full & ~g.adj[u] for u in order]
+    remaining = list(accumulate(reversed(bit), or_, initial=0))[::-1]
+    ball = [g.adj[u].bit_count() + 1 for u in order] + [0]
+    return _Plan(order, bit, closed, nonadj, remaining, ball, g.closed, full)
+
+
+def _lower_bound(plan: _Plan) -> int:
+    # Every class sits inside a dominator's closed neighborhood, hence the
+    # ball term; a clique grown greedily along the search order covers
+    # properness.  Correctness never depends on either, they only skip
+    # hopeless k values.
     clique = 0
     size = 0
-    for v in _search_order(g):
-        if clique & ~g.adj[v]:
-            continue
-        clique |= 1 << v
-        size += 1
-    return size
+    for bit, nonadj in zip(plan.bit, plan.nonadj):
+        if not clique & nonadj:
+            clique |= bit
+            size += 1
+    return max(1, size, -(-len(plan.order) // plan.ball[0]))
 
 
-def _lower_bound(g: Graph) -> int:
-    # Every class sits inside a dominator's closed neighborhood, hence the
-    # ball term; the clique term covers properness.  Correctness never
-    # depends on either, they only skip hopeless k values.
-    ball = -(-g.n // (g.max_degree + 1))
-    return max(1, _greedy_clique(g), ball)
-
-
-def _search(g: Graph, k: int, budget: int) -> tuple[tuple[int, ...] | None, int]:
+def _search(plan: _Plan, k: int, budget: int) -> tuple[tuple[int, ...] | None, int]:
     """Find an assignment with exactly k classes, or prove none exists.
 
     Returns (assignment or None, nodes used).  Raises BudgetExceeded.
-    Deterministic: fixed vertex order, classes tried in index order, a new
-    class only as the last resort (class j opens only after 0..j-1).
+    Deterministic: the plan's vertex order, classes tried in index order,
+    a new class only as the last resort (class j opens only after 0..j-1).
+    The open classes grow and shrink at the end of ``doms``/``allowed``.
+    ``union`` is the OR of ``doms``: a new class adds ``closed[idx]`` to
+    the parent's, and a class-i child ORs ``doms`` with class i narrowed.
     """
-    n = g.n
-    adj = g.adj
-    closed = g.closed
-    full = (1 << n) - 1
-    order = _search_order(g)
-    # remaining_mask[idx] = bitset of vertices not yet reached at depth idx;
-    # ball[idx] = largest closed neighborhood among them (0 past the end)
-    remaining_mask = [0] * (n + 1)
-    ball = [0] * (n + 1)
-    for idx in range(n - 1, -1, -1):
-        remaining_mask[idx] = remaining_mask[idx + 1] | (1 << order[idx])
-        ball[idx] = adj[order[idx]].bit_count() + 1
-
-    doms = [0] * k
-    allowed = [0] * k
+    order, bit, closed, nonadj, remaining, ball, vertex_closed, full = plan
+    n = len(order)
+    doms: list[int] = []  # the open classes' dominator sets
+    allowed: list[int] = []  # the vertices each open class may still take
     assignment = [0] * n
     nodes = 0
 
-    def rec(idx: int, opened: int) -> bool:
+    def rec(idx: int, union: int) -> bool:
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise BudgetExceeded(nodes)
 
-        union_d = 0
-        for i in range(opened):
-            union_d |= doms[i]
-        uncov = full & ~union_d
+        opened = len(doms)
+        uncov = full & ~union
         if opened == k:
             if uncov:
                 return False
@@ -144,13 +164,13 @@ def _search(g: Graph, k: int, budget: int) -> tuple[tuple[int, ...] | None, int]
             if count > free * ball[idx]:
                 return False
             if count > free:
-                remaining = remaining_mask[idx]
+                reachable = remaining[idx]
                 packed = 0
                 need = 0
                 while uncov:
                     low = uncov & -uncov
                     uncov ^= low
-                    reach = closed[low.bit_length() - 1] & remaining
+                    reach = vertex_closed[low.bit_length() - 1] & reachable
                     if not reach:
                         return False
                     if not reach & packed:
@@ -162,36 +182,34 @@ def _search(g: Graph, k: int, budget: int) -> tuple[tuple[int, ...] | None, int]
         if idx == n:
             return opened == k
 
-        u = order[idx]
-        cu = closed[u]
-        au = adj[u]
+        cu = closed[idx]
         rem = n - idx - 1
 
         if opened + rem >= k:
-            for i in range(opened):
-                if not (allowed[i] >> u) & 1:
-                    continue
-                nd = doms[i] & cu
-                if not nd:
-                    continue
-                old_d = doms[i]
-                old_a = allowed[i]
-                doms[i] = nd
-                allowed[i] = old_a & ~au
-                assignment[u] = i
-                if rec(idx + 1, opened):
-                    return True
-                doms[i] = old_d
-                allowed[i] = old_a
+            b = bit[idx]
+            # a child pushes and pops its new classes at the end, so the
+            # lists are as long again when it returns
+            for i, a in enumerate(allowed):
+                if a & b:
+                    d = doms[i]
+                    nd = d & cu
+                    if nd:
+                        doms[i] = nd
+                        allowed[i] = a & nonadj[idx]
+                        assignment[order[idx]] = i
+                        if rec(idx + 1, reduce(or_, doms)):
+                            return True
+                        doms[i] = d
+                        allowed[i] = a
 
         if opened < k and opened + 1 + rem >= k:
-            doms[opened] = cu
-            allowed[opened] = full & ~au
-            assignment[u] = opened
-            if rec(idx + 1, opened + 1):
+            doms.append(cu)
+            allowed.append(nonadj[idx])
+            assignment[order[idx]] = opened
+            if rec(idx + 1, union | cu):
                 return True
-            doms[opened] = 0
-            allowed[opened] = 0
+            doms.pop()
+            allowed.pop()
 
         return False
 
@@ -221,7 +239,7 @@ def find_domination_coloring(
     _require_budget(budget)
     if not 1 <= k <= g.n:
         raise ValueError(f"need 1 <= k <= {g.n}, got {k}")
-    assignment, _ = _search(g, k, budget)
+    assignment, _ = _search(_plan(g), k, budget)
     if assignment is None:
         return None
     return _checked_witness(g, assignment, k)
@@ -234,11 +252,12 @@ def chi_dd_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """
     _require_connected(g)
     _require_budget(budget)
+    plan = _plan(g)
     total = 0
-    k = _lower_bound(g)
+    k = _lower_bound(plan)
     while k <= g.n:
         try:
-            assignment, used = _search(g, k, budget - total)
+            assignment, used = _search(plan, k, budget - total)
         except BudgetExceeded as exc:
             return SolveResult(
                 chi_dd=None,

@@ -264,12 +264,22 @@ def test_verify_rejects_configs_that_check_nothing(monkeypatch):
         code, out, err = run_cli(["verify", "--n-max", "3", *flags])
         assert (code, out) == (2, "")
         assert err == f"domchrom: error: {message}\n"
-    # graph6's limit of 62 is no cap: the solve cache keys graphs by adjacency
+    # graph6's one-byte header (n <= 62) is no cap: the solve cache keys graphs by adjacency
     monkeypatch.undo()
     for cap in ("63", "100"):
         code, out, err = run_cli(["verify", "--n-max", "3", "--theorems", "5", "--subdivided-cap", cap, "--format", "json"])
         assert code == 0 and "error" not in err
         assert json.loads(out)["per_theorem"]["5"]["instances"] > 0
+
+
+def test_apply_prints_graph6_above_order_62():
+    # C5 with each edge a path of length 14 has order 70: a 4-byte graph6 header
+    code, out, err = run_cli(["apply", "--op", "subdivide", "--params", "14", "Dhc"])
+    assert (code, err) == (0, "")
+    line = out.splitlines()[0]
+    assert line.startswith("~?@E")
+    h = parse_graph6(line)
+    assert (h.n, h.m) == (70, 70) and to_graph6(h) == line
 
 
 def test_wrong_params_count_is_a_plain_usage_error():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domchrom.graph import (
+    GRAPH6_MAX_ORDER,
     CycleSpec,
     Graph,
     Graph6Error,
@@ -148,7 +149,7 @@ def test_graph_kernel_matches_the_per_edge_definition(n):
 
 
 def test_graph_kernel_validates_a_subdivision_of_order_70():
-    # above graph6's 62 and above 64: the kernel's matrix is 128 bits wide
+    # above graph6's one-byte header (62) and above 64: the kernel's matrix is 128 bits wide
     h, _ = subdivide(make_named("cycle", 5), 14)
     assert (h.n, h.m) == (70, 70)
     assert all(h.degree(v) == 2 for v in range(h.n)) and is_connected(h)
@@ -156,6 +157,25 @@ def test_graph_kernel_validates_a_subdivision_of_order_70():
     rng = random.Random(70)
     for name, variant in _corruptions(h.n, list(h.adj), rng).items():
         assert _built(h.n, variant) == _per_edge(h.n, variant), name
+
+
+@pytest.mark.parametrize("n", [3, 9, 70])
+def test_graph_stores_numpy_masks_as_plain_ints(n):
+    # numpy integers pack at no width: the per-edge path turns every mask
+    # into a plain int through operator.index (at n = 70 the masks too wide
+    # for int64 stay Python ints), and a float mask is a TypeError
+    np = pytest.importorskip("numpy")
+    cycle = make_named("cycle", n)
+    masks = [np.int64(mask) if mask < 2**63 else mask for mask in cycle.adj]
+    assert any(isinstance(mask, np.int64) for mask in masks)
+    g = Graph(n, masks)
+    assert g == cycle and g.m == n
+    assert all(type(mask) is int for mask in g.adj + g.closed)
+    assert is_connected(g) and cut_vertices(g) == set()
+    with pytest.raises(TypeError):
+        Graph(n, [float(cycle.adj[0]), *cycle.adj[1:]])
+    with pytest.raises(ValueError, match="asymmetric"):
+        Graph(n, [np.int64(0), *masks[1:]])
 
 
 def test_make_named_families():
@@ -220,6 +240,35 @@ def test_graph6_round_trip_random_graphs(n):
             s = to_graph6(g)
             assert len(s) == 1 + (len(pairs) + 5) // 6
             assert parse_graph6(s) == g
+
+
+@pytest.mark.parametrize("n", [62, 63, 70, 200])
+def test_graph6_round_trip_across_the_four_byte_header(n):
+    # orders above 62 take "~" and n in three six-bit bytes, most significant first
+    header = chr(63 + n) if n <= 62 else "~" + chr(63 + (n >> 12)) + chr(63 + (n >> 6 & 63)) + chr(63 + (n & 63))
+    rng = random.Random(f"graph6-header:{n}")
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    for density in (0.0, 0.05, 0.5, 1.0):
+        g = from_edges(n, [p for p in pairs if rng.random() < density])
+        s = to_graph6(g)
+        assert s.startswith(header)
+        assert len(s) == len(header) + (len(pairs) + 5) // 6
+        assert parse_graph6(s) == g
+        assert to_graph6(parse_graph6(s)) == s
+    assert to_graph6(from_edges(63, [])).startswith("~??~")
+
+
+def test_graph6_header_errors():
+    for text, offset, message in [
+        ("~~??????", 0, "8-byte order header"),
+        ("~??", 3, "truncated 4-byte order header"),
+        ("~??}", 0, "order 62 takes a one-byte header"),
+        ("~??~", 4, "truncated body"),
+    ]:
+        with pytest.raises(Graph6Error, match=message) as exc:
+            parse_graph6(text)
+        assert exc.value.offset == offset, text
+    assert GRAPH6_MAX_ORDER == 258_047
 
 
 def test_is_connected():

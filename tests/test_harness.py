@@ -3,7 +3,7 @@ import random
 import pytest
 
 from domchrom import harness
-from domchrom.graph import CycleSpec, enumerate_connected_graphs, from_edges, make_named, parse_graph6
+from domchrom.graph import CycleSpec, enumerate_connected_graphs, from_edges, make_named, parse_graph6, to_graph6
 from domchrom.harness import (
     GAP_EXAMPLE_CAP,
     CorpusReport,
@@ -79,6 +79,23 @@ def test_known_violations_at_n8(theorem, graph6, contract):
     assert (chk.lower, chk.upper) == (4, 7)
     assert not chk.holds
     assert (chi_dd_oracle(g), chi_dd_oracle(contract(g))) == (6, 3)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_blade_family_breaks_the_contraction_lower_bounds(blade_graph, s):
+    # contracting the hub edge of B(s) (theorem 3), or merging hubs that
+    # share one neighbour (theorem 4), takes chi_dd from 2s + 2 to s + 1:
+    # below the lower bound chi_dd(G) - 2 = 2s from s = 2 on
+    if s == 2:
+        assert to_graph6(blade_graph(2)) == "ItaIAD?OG"
+    if s == 3:
+        assert to_graph6(blade_graph(3)) == "MtmCKL?OI@g?O@O@_"
+    for theorem, g in ((3, blade_graph(s)), (4, blade_graph(s, shared=True))):
+        chk = check_theorem(theorem, g, (0, 1))
+        assert isinstance(chk, TheoremCheck)
+        assert (g.n, chk.chi_before, chk.chi_after) == (4 * s + 2 + (theorem == 4), 2 * s + 2, s + 1)
+        assert (chk.lower, chk.upper) == (2 * s, 2 * s + 3)
+        assert chk.holds == (s == 1)
 
 
 def test_check_theorem_rejects_bad_instance():
@@ -223,7 +240,7 @@ def test_harness_config_rejects_bad_values():
     ]:
         with pytest.raises(ValueError, match=message):
             HarnessConfig(**kwargs)
-    # the solve cache keys graphs by adjacency, so graph6's limit of 62 is no cap
+    # the solve cache keys graphs by adjacency, so graph6's one-byte header (n <= 62) is no cap
     for cap in (62, 63, 100):
         assert HarnessConfig(subdivided_cap=cap).subdivided_cap == cap
 

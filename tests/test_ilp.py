@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from domchrom.graph import from_edges, make_named, to_graph6
+from domchrom.ops import contract_edge, contract_vertices
 from domchrom.solver import chi_dd_exact
 
 optimize = pytest.importorskip("scipy.optimize")
@@ -66,6 +67,14 @@ def _agree(g) -> None:
 def test_ilp_agrees_on_paths_and_cycles(family):
     for n in range(9, 31):
         _agree(make_named(family, n))
+
+
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_ilp_agrees_on_blade_graphs_and_their_contractions(blade_graph, s):
+    g = blade_graph(s)
+    shared = blade_graph(s, shared=True)
+    for h in (g, contract_edge(g, (0, 1)), shared, contract_vertices(shared, 0, 1)):
+        _agree(h)
 
 
 @st.composite

@@ -8,7 +8,14 @@ import pytest
 
 import domchrom.solver as solver
 from domchrom.coloring import Coloring, is_domination_coloring
-from domchrom.graph import enumerate_connected_graphs, from_edges, iter_bits, make_named
+from domchrom.graph import (
+    canonical_form,
+    enumerate_connected_graphs,
+    from_edges,
+    iter_bits,
+    make_named,
+    parse_graph6,
+)
 from domchrom.ops import subdivide
 from domchrom.solver import (
     BudgetExceeded,
@@ -221,6 +228,42 @@ def test_bounds_prune_only_dead_branches():
     assert checked == 772 + 1336 + 36  # n<=5, every 20th n=6, 2-subdivisions
 
 
+# (chi_dd, nodes, witness) of each solve, captured before the search kept
+# its plan across k levels and handed each node its dominator union: the
+# search tree, and so every count and witness, must not move
+_PINNED_SOLVES = {
+    ("path", 10): (7, 76, "0,1,2,1,2,3,4,5,4,6"),
+    ("path", 15): (10, 321, "0,1,2,1,2,3,4,5,4,5,6,7,8,7,9"),
+    ("path", 20): (13, 1325, "0,1,2,1,2,3,4,5,4,5,6,7,8,7,8,9,10,11,10,12"),
+    ("path", 25): (16, 5448, "0,1,2,1,2,3,4,5,4,5,6,7,8,7,8,9,10,11,10,11,12,13,14,13,15"),
+    ("cycle", 10): (6, 34, "0,1,0,1,2,3,4,3,4,5"),
+    ("cycle", 15): (9, 141, "0,1,0,1,2,3,4,3,4,5,6,7,6,7,8"),
+    ("cycle", 20): (12, 556, "0,1,0,1,2,3,4,3,4,5,6,7,6,7,8,9,10,9,10,11"),
+    ("cycle", 25): (15, 2261, "0,1,0,1,2,3,4,3,4,5,6,7,6,7,8,9,10,9,10,11,12,13,12,13,14"),
+    ("E?NW", 4): (15, 9015, "0,1,2,3,4,5,6,0,7,8,1,7,9,4,9,10,3,11,10,12,7,13,14,7"),
+    ("E@NG", 4): (15, 7691, "0,1,2,3,4,5,6,0,7,8,1,7,9,2,9,10,4,11,12,13,11,11,14,7"),
+}
+
+
+@pytest.mark.parametrize("name, size", list(_PINNED_SOLVES))
+def test_search_tree_is_pinned(name, size):
+    if name in ("path", "cycle"):
+        g = make_named(name, size)
+    else:  # the size-k subdivision of a graph6 graph's canonical form
+        g = subdivide(canonical_form(parse_graph6(name)), size)[0]
+    result = chi_dd_exact(g)
+    assert (result.chi_dd, result.nodes, result.witness.to_text()) == _PINNED_SOLVES[name, size]
+
+
+def test_unknown_results_are_pinned():
+    c12 = make_named("cycle", 12)
+    pinned = {1: (4, 12, 2), 7: (5, 12, 8), 50: (7, 12, 51)}
+    for budget, (lower, upper, nodes) in pinned.items():
+        result = chi_dd_exact(c12, budget=budget)
+        assert result.status == "unknown"
+        assert (result.lower, result.upper, result.nodes) == (lower, upper, nodes)
+
+
 def test_budget_below_one_is_rejected():
     c4 = make_named("cycle", 4)
     for budget in (0, -5):
@@ -270,7 +313,7 @@ def expect_runtime_error(what, call):
 
 c4 = make_named("cycle", 4)
 search = solver._search
-solver._search = lambda g, k, budget: ((0,) * g.n, 1)  # one improper class
+solver._search = lambda plan, k, budget: ((0,) * len(plan.order), 1)  # one improper class
 expect_runtime_error("find_domination_coloring", lambda: solver.find_domination_coloring(c4, 1))
 expect_runtime_error("chi_dd_exact", lambda: solver.chi_dd_exact(c4))
 solver._search = search
