@@ -344,6 +344,10 @@ def parse_graph6(text: str) -> Graph:
 # graph6 body characters by six-bit group read lowest bit first: the
 # format puts the group's first pair in the most significant bit
 _GRAPH6_CHARS = tuple(chr(63 + int(f"{group:06b}"[::-1], 2)) for group in range(64))
+# to_graph6 emits its body in windows of this many bits (320 groups) as
+# the columns fill them, so each cut shifts a window, not the whole body;
+# one window holds any body of order <= 62 (1,891 bits)
+_GRAPH6_WINDOW = 6 * 320
 
 
 def to_graph6(g: Graph) -> str:
@@ -352,9 +356,11 @@ def to_graph6(g: Graph) -> str:
     The header is one byte up to order 62 and ``~`` plus three bytes
     above that.  Column j of the upper triangle, ``adj[j]`` below bit j,
     is ORed into one integer at bit offset j(j-1)/2, so bit t is the t-th
-    pair in graph6 order; each six-bit group becomes one character
-    through a bit-reversing table.  Bits past the last pair are zero, which is the
-    format's padding.
+    pair in graph6 order; whenever ``_GRAPH6_WINDOW`` bits are complete
+    they are emitted and shifted out, and the rest is emitted at the end.
+    Each six-bit group becomes one character through a bit-reversing
+    table.  Bits past the last pair are zero, which is the format's
+    padding.
     """
     if g._graph6 is not None:
         return g._graph6
@@ -364,13 +370,19 @@ def to_graph6(g: Graph) -> str:
         header = "~" + "".join([chr(63 + (g.n >> shift & 63)) for shift in (12, 6, 0)])
     else:
         raise ValueError(f"graph6 encoder supports n <= {GRAPH6_MAX_ORDER}, got {g.n}")
+    chars, width = _GRAPH6_CHARS, _GRAPH6_WINDOW
+    body: list[str] = []
     bits = 0
     offset = 0
     for j, mask in enumerate(g.adj):
         bits |= (mask & ((1 << j) - 1)) << offset
         offset += j
-    chars = _GRAPH6_CHARS
-    g._graph6 = header + "".join([chars[(bits >> t) & 63] for t in range(0, offset, 6)])
+        while offset >= width:
+            body += [chars[(bits >> t) & 63] for t in range(0, width, 6)]
+            bits >>= width
+            offset -= width
+    body += [chars[(bits >> t) & 63] for t in range(0, offset, 6)]
+    g._graph6 = header + "".join(body)
     return g._graph6
 
 

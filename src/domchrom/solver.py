@@ -29,6 +29,19 @@ walks the same order.  Each node gets the union of its open classes'
 dominator sets from its parent, the value it used to OR up itself, so
 the tree, its node count and its first coloring do not change.
 
+The plan also memoizes the packing bound for the whole solve, shared
+by every k level.  The greedy scan reads only the uncovered vertices
+and the unplaced ones, and the latter are fixed by the depth, so the
+memo keys one int, ``uncov | idx << n``, and stores the full greedy
+count, or n + 1 (more than any k) when some uncovered vertex has
+nothing left to reach it.  The scan never reads ``k - opened`` and its
+count only grows, so a node is cut iff the remembered count exceeds
+``k - opened``, exactly where a scan stopping at the first excess
+would cut: the tree, its node count and its first coloring do not
+change.  The memo stops taking entries at ``_PACKING_MEMO_CAP``, so a
+large budget cannot grow it without limit; past the cap a miss is
+scanned again.
+
 The oracle ignores all of that and scans every set partition, by class
 count and then in restricted-growth order.  It judges each partition
 through a per-graph table, built once per call, of the vertices that
@@ -49,6 +62,7 @@ from .coloring import Coloring, is_domination_coloring
 from .graph import Graph, is_connected, make_named
 
 DEFAULT_BUDGET = 10_000_000
+_PACKING_MEMO_CAP = 1 << 16  # entries one solve's packing memo may hold
 ORACLE_MAX_ORDER = 8  # Bell(8) = 4140 partitions
 
 
@@ -93,7 +107,8 @@ def _search_order(g: Graph) -> list[int]:
 
 class _Plan(NamedTuple):
     """What every k level of one solve reads of its graph, built once by
-    :func:`_plan`; entry idx of a per-depth list is about ``order[idx]``."""
+    :func:`_plan`; entry idx of a per-depth list is about ``order[idx]``.
+    Only ``packing`` changes during the solve: the levels fill it."""
 
     order: list[int]
     bit: list[int]  # per depth: the vertex's own bit
@@ -103,6 +118,7 @@ class _Plan(NamedTuple):
     ball: list[int]  # the size of the largest closed neighborhood among them
     vertex_closed: tuple[int, ...]  # closed neighborhoods by vertex id
     full: int
+    packing: dict[int, int]  # uncov | idx << n -> greedy packing count (n + 1: unreachable)
 
 
 def _plan(g: Graph) -> _Plan:
@@ -113,7 +129,7 @@ def _plan(g: Graph) -> _Plan:
     nonadj = [full & ~g.adj[u] for u in order]
     remaining = list(accumulate(reversed(bit), or_, initial=0))[::-1]
     ball = [g.adj[u].bit_count() + 1 for u in order] + [0]
-    return _Plan(order, bit, closed, nonadj, remaining, ball, g.closed, full)
+    return _Plan(order, bit, closed, nonadj, remaining, ball, g.closed, full, {})
 
 
 def _lower_bound(plan: _Plan) -> int:
@@ -136,24 +152,26 @@ def _search(plan: _Plan, k: int, budget: int) -> tuple[tuple[int, ...] | None, i
     Returns (assignment or None, nodes used).  Raises BudgetExceeded.
     Deterministic: the plan's vertex order, classes tried in index order,
     a new class only as the last resort (class j opens only after 0..j-1).
-    The open classes grow and shrink at the end of ``doms``/``allowed``.
-    ``union`` is the OR of ``doms``: a new class adds ``closed[idx]`` to
-    the parent's, and a class-i child ORs ``doms`` with class i narrowed.
+    The open classes grow and shrink at the end of ``doms``/``allowed``;
+    ``opened`` is their count.  ``union`` is the OR of ``doms``: a new
+    class adds ``closed[idx]`` to the parent's, and a class-i child ORs
+    ``doms`` with class i narrowed.  The packing bound is read from, and
+    written to, the plan's memo.
     """
-    order, bit, closed, nonadj, remaining, ball, vertex_closed, full = plan
+    order, bit, closed, nonadj, remaining, ball, vertex_closed, full, packing = plan
     n = len(order)
+    cap = _PACKING_MEMO_CAP
     doms: list[int] = []  # the open classes' dominator sets
     allowed: list[int] = []  # the vertices each open class may still take
     assignment = [0] * n
     nodes = 0
 
-    def rec(idx: int, union: int) -> bool:
+    def rec(idx: int, union: int, opened: int) -> bool:
         nonlocal nodes
         nodes += 1
         if nodes > budget:
             raise BudgetExceeded(nodes)
 
-        opened = len(doms)
         uncov = full & ~union
         if opened == k:
             if uncov:
@@ -164,20 +182,26 @@ def _search(plan: _Plan, k: int, budget: int) -> tuple[tuple[int, ...] | None, i
             if count > free * ball[idx]:
                 return False
             if count > free:
-                reachable = remaining[idx]
-                packed = 0
-                need = 0
-                while uncov:
-                    low = uncov & -uncov
-                    uncov ^= low
-                    reach = vertex_closed[low.bit_length() - 1] & reachable
-                    if not reach:
-                        return False
-                    if not reach & packed:
-                        packed |= reach
-                        need += 1
-                        if need > free:
-                            return False
+                key = uncov | idx << n
+                need = packing.get(key)
+                if need is None:
+                    reachable = remaining[idx]
+                    packed = 0
+                    need = 0
+                    while uncov:
+                        low = uncov & -uncov
+                        uncov ^= low
+                        reach = vertex_closed[low.bit_length() - 1] & reachable
+                        if not reach:
+                            need = n + 1
+                            break
+                        if not reach & packed:
+                            packed |= reach
+                            need += 1
+                    if len(packing) < cap:
+                        packing[key] = need
+                if need > free:
+                    return False
 
         if idx == n:
             return opened == k
@@ -188,16 +212,17 @@ def _search(plan: _Plan, k: int, budget: int) -> tuple[tuple[int, ...] | None, i
         if opened + rem >= k:
             b = bit[idx]
             # a child pushes and pops its new classes at the end, so the
-            # lists are as long again when it returns
-            for i, a in enumerate(allowed):
-                if a & b:
-                    d = doms[i]
-                    nd = d & cu
-                    if nd:
+            # lists are as long again when it returns; the dominator test
+            # comes first since it fails far more often
+            for i, d in enumerate(doms):
+                nd = d & cu
+                if nd:
+                    a = allowed[i]
+                    if a & b:
                         doms[i] = nd
                         allowed[i] = a & nonadj[idx]
                         assignment[order[idx]] = i
-                        if rec(idx + 1, reduce(or_, doms)):
+                        if rec(idx + 1, reduce(or_, doms), opened):
                             return True
                         doms[i] = d
                         allowed[i] = a
@@ -206,14 +231,14 @@ def _search(plan: _Plan, k: int, budget: int) -> tuple[tuple[int, ...] | None, i
             doms.append(cu)
             allowed.append(nonadj[idx])
             assignment[order[idx]] = opened
-            if rec(idx + 1, union | cu):
+            if rec(idx + 1, union | cu, opened + 1):
                 return True
             doms.pop()
             allowed.pop()
 
         return False
 
-    found = rec(0, 0)
+    found = rec(0, 0, 0)
     return (tuple(assignment) if found else None, nodes)
 
 

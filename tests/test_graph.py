@@ -258,6 +258,34 @@ def test_graph6_round_trip_across_the_four_byte_header(n):
     assert to_graph6(from_edges(63, [])).startswith("~??~")
 
 
+def test_graph6_round_trip_at_order_1000():
+    # the body spans 261 encoder windows: encoding takes about 0.02 s, and
+    # cutting each group from the whole body instead takes 0.5 s and more
+    rng = random.Random("graph6-1000")
+    path = make_named("path", 1000)
+    sparse = from_edges(1000, [(i, j) for j in range(1, 1000) for i in range(j) if rng.random() < 0.002])
+    for g in (path, sparse):
+        start = time.perf_counter()
+        s = to_graph6(g)
+        assert time.perf_counter() - start < 0.25
+        assert len(s) == 4 + (1000 * 999 // 2 + 5) // 6
+        assert parse_graph6(s) == g
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 62, 63, 64, 70, 200, 1000])
+def test_graph6_matches_networkx_bytes(n):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(f"graph6-networkx:{n}")
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    # dense graphs of order 1000 take seconds to build on both sides
+    for density in (0.0, 0.01, 0.5, 1.0) if n <= 200 else (0.0, 0.01):
+        g = from_edges(n, [p for p in pairs if rng.random() < density])
+        theirs = nx.Graph()
+        theirs.add_nodes_from(range(n))
+        theirs.add_edges_from(g.edges())
+        assert to_graph6(g).encode() + b"\n" == nx.to_graph6_bytes(theirs, header=False)
+
+
 def test_graph6_header_errors():
     for text, offset, message in [
         ("~~??????", 0, "8-byte order header"),

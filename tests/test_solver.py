@@ -242,10 +242,22 @@ _PINNED_SOLVES = {
     ("cycle", 25): (15, 2261, "0,1,0,1,2,3,4,3,4,5,6,7,6,7,8,9,10,9,10,11,12,13,12,13,14"),
     ("E?NW", 4): (15, 9015, "0,1,2,3,4,5,6,0,7,8,1,7,9,4,9,10,3,11,10,12,7,13,14,7"),
     ("E@NG", 4): (15, 7691, "0,1,2,3,4,5,6,0,7,8,1,7,9,2,9,10,4,11,12,13,11,11,14,7"),
+    # the blade graphs B(s) and their shared-neighbour variants, captured
+    # before the solve kept a memo of the packing bound: the deepest trees
+    # pinned, where the memo is hit most
+    ("blade", 2): (6, 102, "0,1,1,2,1,2,3,4,3,5"),
+    ("blade", 3): (8, 1192, "0,1,1,2,3,1,2,3,4,5,6,4,5,7"),
+    ("blade", 4): (10, 18498, "0,1,1,2,3,4,1,2,3,4,5,6,7,8,5,6,7,9"),
+    ("blade", 5): (12, 294102, "0,1,1,2,3,4,5,1,2,3,4,5,6,7,8,9,10,6,7,8,9,11"),
+    ("blade-shared", 2): (6, 67, "0,1,2,3,2,3,4,5,4,5,2"),
+    ("blade-shared", 3): (8, 402, "0,1,2,3,4,2,3,4,5,6,7,5,6,7,2"),
+    ("blade-shared", 4): (10, 3568, "0,1,2,3,4,5,2,3,4,5,6,7,8,9,6,7,8,9,2"),
+    ("blade-shared", 5): (12, 37794, "0,1,2,3,4,5,6,2,3,4,5,6,7,8,9,10,11,7,8,9,10,11,2"),
 }
+_BLADES = [key for key in _PINNED_SOLVES if key[0].startswith("blade")]
 
 
-@pytest.mark.parametrize("name, size", list(_PINNED_SOLVES))
+@pytest.mark.parametrize("name, size", [key for key in _PINNED_SOLVES if key not in _BLADES])
 def test_search_tree_is_pinned(name, size):
     if name in ("path", "cycle"):
         g = make_named(name, size)
@@ -253,6 +265,55 @@ def test_search_tree_is_pinned(name, size):
         g = subdivide(canonical_form(parse_graph6(name)), size)[0]
     result = chi_dd_exact(g)
     assert (result.chi_dd, result.nodes, result.witness.to_text()) == _PINNED_SOLVES[name, size]
+
+
+@pytest.mark.parametrize("name, s", _BLADES)
+def test_blade_search_tree_is_pinned(name, s, blade_graph):
+    result = chi_dd_exact(blade_graph(s, shared=name == "blade-shared"))
+    assert (result.chi_dd, result.nodes, result.witness.to_text()) == _PINNED_SOLVES[name, s]
+
+
+def _solve_outcomes(graphs, budgets):
+    outcomes = []
+    for g in graphs:
+        for budget in budgets:
+            r = chi_dd_exact(g, budget=budget)
+            witness = r.witness.to_text() if r.witness else None
+            outcomes.append((r.status, r.chi_dd, r.nodes, r.lower, r.upper, witness))
+    return outcomes
+
+
+def test_packing_memo_leaves_every_solve_unchanged(monkeypatch):
+    # the memo only stands in for a rescan, so a solve that never reads it
+    # (cap 0) gives the same outcome, node count and witness, unknowns included
+    small = [g for n in range(1, 6) for g in enumerate_connected_graphs(n)]
+    classes = {}
+    for n in range(2, 7):
+        for g in enumerate_connected_graphs(n):
+            if g.m <= 6:
+                c = canonical_form(g)
+                classes.setdefault(c.adj, c)
+    subdivisions = [canonical_form(subdivide(c, k)[0]) for c in classes.values() for k in (2, 3, 4)]
+    assert len(classes) == 41
+    budgets = (1, 3, 7, 20, solver.DEFAULT_BUDGET)
+    with_memo = _solve_outcomes(small, budgets), _solve_outcomes(subdivisions, [solver.DEFAULT_BUDGET])
+    monkeypatch.setattr(solver, "_PACKING_MEMO_CAP", 0)
+    assert (_solve_outcomes(small, budgets), _solve_outcomes(subdivisions, [solver.DEFAULT_BUDGET])) == with_memo
+
+
+def test_packing_memo_stops_at_its_cap(monkeypatch, blade_graph):
+    # B(5) at budget 100,000 runs out at k = 10 with 21 memo entries; a cap
+    # of 8 fills up, and the solve ends exactly as under the default cap
+    make_plan = solver._plan
+    plans = []
+    monkeypatch.setattr(solver, "_plan", lambda g: plans.append(make_plan(g)) or plans[-1])
+    b5 = blade_graph(5)
+    outcomes = []
+    for cap in (solver._PACKING_MEMO_CAP, 8):
+        monkeypatch.setattr(solver, "_PACKING_MEMO_CAP", cap)
+        r = chi_dd_exact(b5, budget=100_000)
+        outcomes.append((r.status, r.lower, r.upper, r.nodes, len(plans[-1].packing)))
+    assert outcomes == [("unknown", 10, 22, 100_001, 21), ("unknown", 10, 22, 100_001, 8)]
 
 
 def test_unknown_results_are_pinned():
