@@ -43,7 +43,7 @@ print(f"remove edge (0,1)    -> {to_graph6(h)} (a 5-path), chi_dd = {chi(h)}")
 h = contract_edge(c5, (0, 1))
 print(f"contract edge (0,1)  -> {to_graph6(h)} (C_4),      chi_dd = {chi(h)}")
 
-h = contract_vertices(c5, 0, 2)
+h = contract_vertices(c5, (0, 2))
 print(f"merge vertices 0,2   -> {to_graph6(h)} (triangle+pendant), chi_dd = {chi(h)}")
 
 print()

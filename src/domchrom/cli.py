@@ -19,7 +19,6 @@ from dataclasses import asdict
 from .coloring import Coloring, is_domination_coloring
 from .graph import (
     GENERATOR_MAX_ORDER,
-    CycleSpec,
     Graph,
     Graph6Error,
     enumerate_connected_graphs,
@@ -27,20 +26,19 @@ from .graph import (
     to_graph6,
 )
 from .harness import HarnessConfig, corpus_up_to, run_corpus
-from .ops import (
+from .ops import (  # the operations as well: apply calls them by name
+    OPERATIONS,
     contract_edge,
     contract_vertices,
-    contraction_index_map,
     cycle_extend,
-    removal_index_map,
     remove_edge,
     remove_vertex,
     subdivide,
 )
 from .solver import DEFAULT_BUDGET, chi_dd_exact, chi_dd_oracle
-from .witnesses import EXTEND_KINDS, REDUCE_KINDS, extend_witness, reduce_witness
+from .witnesses import EXTEND_KINDS, WITNESS_KINDS, extend_witness, reduce_witness
 
-_WITNESS_KINDS = tuple(kind.replace("_", "-") for kind in EXTEND_KINDS + REDUCE_KINDS)
+_WITNESS_KINDS = tuple(kind.replace("_", "-") for kind in WITNESS_KINDS)
 
 
 class _UsageError(Exception):
@@ -72,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("apply", help="apply a graph operation")
     add_common(p)
-    p.add_argument("--op", choices=tuple(_APPLY), required=True)
+    p.add_argument("--op", choices=tuple(name.replace("_", "-") for name in OPERATIONS), required=True)
     p.add_argument("--params", required=True, help="operation parameters, comma-separated")
 
     p = sub.add_parser("witness", help="run a proof recoloring")
@@ -152,19 +150,9 @@ def _parse_ints(text: str, what: str) -> list[int]:
         raise _UsageError(f"bad {what}: {text!r} (expected comma-separated integers)") from None
 
 
-# Parameters per op and witness kind: a vertex or k (1), a vertex pair (2),
-# or a cycle's vertex sequence (None: any count, checked as a CycleSpec).
-_ARITY = {
-    "remove-vertex": 1, "add-vertex": 1, "subdivide": 1,
-    "remove-edge": 2, "add-edge": 2, "contract-edge": 2, "contract-vertices": 2, "uncontract": 2,
-    "cycle-extend": None, "remove-hub": None,
-}
-
-
-def _op_params(name: str, text: str):
-    """``--params`` for an op or witness kind: one int, or a tuple of them."""
+def _op_params(name: str, arity: int | None, text: str):
+    """``--params`` for the op or witness kind ``name``: one int, or a tuple of them."""
     params = _parse_ints(text, "--params")
-    arity = _ARITY[name]
     if arity is not None and len(params) != arity:
         raise _UsageError(f"{name} takes {arity} parameter{'s' * (arity > 1)}, got {len(params)}")
     return params[0] if arity == 1 else tuple(params)
@@ -251,27 +239,6 @@ def _cmd_check(args, stdin, stdout, stderr) -> int:
     return 0 if all(r["valid"] for r in rows) else 1
 
 
-def _subdivided(g: Graph, k: int):
-    h, smap = subdivide(g, k)
-    return h, {"superedges": {f"{u}-{v}": path for (u, v), path in smap.superedges.items()}}
-
-
-def _contraction_map(n: int, pair: tuple[int, int]) -> tuple[int, ...]:
-    return contraction_index_map(n, *pair)
-
-
-# op -> (G, params -> (H, extra row fields), old -> new vertex index map;
-# None keeps every index).
-_APPLY = {
-    "remove-vertex": (lambda g, v: (remove_vertex(g, v), {}), removal_index_map),
-    "remove-edge": (lambda g, e: (remove_edge(g, e), {}), None),
-    "contract-edge": (lambda g, e: (contract_edge(g, e), {}), _contraction_map),
-    "contract-vertices": (lambda g, e: (contract_vertices(g, *e), {}), _contraction_map),
-    "subdivide": (_subdivided, None),
-    "cycle-extend": (lambda g, cyc: (cycle_extend(g, CycleSpec(cyc)), {"hub": g.n}), None),
-}
-
-
 def _apply_line(r: dict) -> str:
     lines = [r["result"]]
     lines += [f"map {old} -> {'-' if new is None else new}" for old, new in r["vertex_map"].items()]
@@ -283,23 +250,24 @@ def _apply_line(r: dict) -> str:
 
 
 def _cmd_apply(args, stdin, stdout, stderr) -> int:
-    params = _op_params(args.op, args.params)
-    operation, index_map = _APPLY[args.op]
+    name = args.op.replace("-", "_")
+    op = OPERATIONS[name]
+    params = _op_params(args.op, op.arity, args.params)
     rows = []
     for g6, g in _read_graphs(args, stdin):
         try:
-            h, extra = operation(g, params)
+            param = op.read(params)
+            h = globals()[name](g, param)  # this module's global: see the ops docstring
         except ValueError as exc:
             raise _UsageError(f"cannot apply {args.op} to {g6}: {exc}") from None
-        vmap = range(g.n) if index_map is None else index_map(g.n, params)
-        rows.append(
-            {
-                "graph6": g6,
-                "result": to_graph6(h),
-                "vertex_map": {str(w): vmap[w] for w in range(g.n)},
-                **extra,
-            }
-        )
+        vmap = op.vertex_map(g.n, param)
+        row = {"graph6": g6, "vertex_map": {str(w): vmap[w] for w in range(g.n)}}
+        if name == "subdivide":
+            h, smap = h
+            row["superedges"] = {f"{u}-{v}": path for (u, v), path in smap.superedges.items()}
+        elif name == "cycle_extend":
+            row["hub"] = g.n
+        rows.append({**row, "result": to_graph6(h)})
     _emit(args, stdout, rows, ("graph6", "result"), _apply_line, op=args.op)
     return 0
 
@@ -319,13 +287,12 @@ def _cmd_witness(args, stdin, stdout, stderr) -> int:
         base = Coloring.from_text(args.base)
     except ValueError as exc:
         raise _UsageError(f"bad base coloring: {exc}") from None
-    params = _op_params(args.kind, args.params)
-    if _ARITY[args.kind] is None:
-        try:
-            params = CycleSpec(params)
-        except ValueError as exc:
-            raise _UsageError(f"bad --params for {args.kind}: {exc}") from None
     kind = args.kind.replace("-", "_")
+    op = OPERATIONS[WITNESS_KINDS[kind].operation]
+    try:
+        params = op.read(_op_params(args.kind, op.arity, args.params))
+    except ValueError as exc:
+        raise _UsageError(f"bad --params for {args.kind}: {exc}") from None
     runner = extend_witness if kind in EXTEND_KINDS else reduce_witness
     rows = []
     for g6, g in _read_graphs(args, stdin):

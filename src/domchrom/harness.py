@@ -21,13 +21,11 @@ from __future__ import annotations
 import json
 import time
 from collections import Counter
-from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Union
 
 from .graph import (
-    CycleSpec,
     Graph,
     bridges,
     canonical_form,
@@ -39,6 +37,7 @@ from .graph import (
     to_graph6,
 )
 from .ops import (
+    OPERATIONS,
     contract_edge,
     contract_vertices,
     cycle_extend,
@@ -54,7 +53,7 @@ from .solver import (
     chi_dd_oracle,
     path_chi_dd,
 )
-from .witnesses import extend_witness, reduce_witness
+from .witnesses import WITNESS_KINDS, extend_witness, reduce_witness
 
 GAP_EXAMPLE_CAP = 20
 
@@ -143,9 +142,6 @@ def _solve_cached(g: Graph, budget: int, cache: _SolveCache) -> SolveResult:
 
 
 # -- the six theorems -------------------------------------------------
-# Table entries reach ops and graph helpers through module globals at
-# call time, never through captured function objects, so rebinding those
-# names (as a tracer does) reaches every call.
 
 
 def _no_skip(g, instance, config):
@@ -155,45 +151,13 @@ def _no_skip(g, instance, config):
 class _Spec(NamedTuple):
     """How one theorem is checked: H = apply(G, instance), lower <= chi_dd(H) <= upper."""
 
+    operation: str  # the ops.OPERATIONS entry that reads, labels and validates an instance
     instances: Callable[[Graph, HarnessConfig], Iterable]  # a corpus run's instance domain
-    # the instance as the fields below take it, or None when it has the wrong shape
-    canon: Callable[[Any], Any]
-    shape: str  # the instance's shape, as the wrong-shape error names it
-    label: Callable[[Any], str]
     apply: Callable[[Graph, Any], Graph]
     bounds: Callable[[int, Graph, Any], tuple[int, int]]  # given chi_dd(G)
     # skip reason only; the operation validates
     hypothesis: Callable[[Graph, Any, HarnessConfig], str | None] = _no_skip
-    # (extend, reduce) as (witness kind, "G" or "H": whose coloring it starts from)
-    witnesses: tuple[tuple[str, str], tuple[str, str]] | None = None
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _int(instance) -> int | None:
-    return instance if _is_int(instance) else None
-
-
-def _pair(instance) -> tuple[int, int] | None:
-    if isinstance(instance, Sequence) and len(instance) == 2:
-        u, v = instance
-        if _is_int(u) and _is_int(v):
-            return (u, v) if u < v else (v, u)
-    return None
-
-
-def _cycle(instance) -> CycleSpec | None:
-    if isinstance(instance, CycleSpec):
-        return instance
-    if isinstance(instance, Sequence) and all(_is_int(v) for v in instance):
-        return CycleSpec(instance)
-    return None
-
-
-def _edge_label(e: tuple[int, int]) -> str:
-    return f"e={e[0]}-{e[1]}"
+    witnesses: tuple[str, str] | None = None  # (extend kind, reduce kind)
 
 
 def _removable_vertex(g: Graph, v: int, config: HarnessConfig) -> str | None:
@@ -225,62 +189,51 @@ def _cycles(g: Graph, config: HarnessConfig) -> list:
     return enumerate_cycles(g, cap) if cap >= 3 else []
 
 
+# each apply calls its op through this module's global: see the ops docstring
 _SPECS = {
     1: _Spec(
+        operation="remove_vertex",
         instances=lambda g, config: range(g.n),
-        canon=_int,
-        shape="a vertex (an int)",
-        label=lambda v: f"v={v}",
         hypothesis=_removable_vertex,
         apply=lambda g, v: remove_vertex(g, v),
         bounds=lambda chi, g, v: (chi - 1, chi + g.degree(v) - 1),
-        witnesses=(("add_vertex", "H"), ("remove_vertex", "G")),
+        witnesses=("add_vertex", "remove_vertex"),
     ),
     2: _Spec(
+        operation="remove_edge",
         instances=lambda g, config: g.edges(),
-        canon=_pair,
-        shape="an edge (two vertex ints)",
-        label=_edge_label,
         hypothesis=_removable_edge,
         apply=lambda g, e: remove_edge(g, e),
         bounds=lambda chi, g, e: (chi - 1, chi + 2),
-        witnesses=(("add_edge", "H"), ("remove_edge", "G")),
+        witnesses=("add_edge", "remove_edge"),
     ),
     3: _Spec(
+        operation="contract_edge",
         instances=lambda g, config: g.edges(),
-        canon=_pair,
-        shape="an edge (two vertex ints)",
-        label=_edge_label,
         apply=lambda g, e: contract_edge(g, e),
         bounds=lambda chi, g, e: (chi - 2, chi + 1),
-        witnesses=(("contract_edge", "G"), ("uncontract", "H")),
+        witnesses=("contract_edge", "uncontract"),
     ),
     4: _Spec(
+        operation="contract_vertices",
         instances=lambda g, config: [(u, v) for v in range(g.n) for u in range(v) if not (g.adj[u] >> v) & 1],
-        canon=_pair,
-        shape="a vertex pair (two vertex ints)",
-        label=lambda e: f"uv={e[0]}-{e[1]}",
-        apply=lambda g, e: contract_vertices(g, *e),
+        apply=lambda g, e: contract_vertices(g, e),
         bounds=lambda chi, g, e: (chi - 2, chi + 1),
-        witnesses=(("contract_vertices", "G"), ("uncontract", "H")),
+        witnesses=("contract_vertices", "uncontract"),
     ),
     5: _Spec(
+        operation="subdivide",
         instances=lambda g, config: config.k_values,
-        canon=_int,
-        shape="a path length k (an int)",
-        label=lambda k: f"k={k}",
         hypothesis=_subdividable,
         apply=_subdivision,
         bounds=lambda chi, g, k: (path_chi_dd(k + 1), (g.m - 1) * path_chi_dd(k) + path_chi_dd(k + 1)),
     ),
     6: _Spec(
+        operation="cycle_extend",
         instances=_cycles,
-        canon=_cycle,
-        shape="a cycle (a CycleSpec or a sequence of vertex ints)",
-        label=lambda cyc: "C=" + "-".join(str(v) for v in cyc.vertices),
         apply=lambda g, cyc: cycle_extend(g, cyc),
         bounds=lambda chi, g, cyc: (chi - cyc.length, chi + 1),
-        witnesses=(("cycle_extend", "G"), ("remove_hub", "H")),
+        witnesses=("cycle_extend", "remove_hub"),
     ),
 }
 
@@ -320,11 +273,14 @@ def check_theorem(
     config = config or HarnessConfig()
     cache = {} if cache is None else cache
     g6 = to_graph6(g)
-    shaped = spec.canon(instance)
+    op = OPERATIONS[spec.operation]
+    shaped = op.read(instance)
     if shaped is None:
-        raise ValueError(f"theorem {theorem} takes {spec.shape}, got {instance!r}")
+        raise ValueError(f"theorem {theorem} takes {op.shape}, got {instance!r}")
+    if type(shaped) is tuple and shaped[0] > shaped[1]:
+        shaped = shaped[::-1]  # a pair is checked and reported smaller vertex first
     instance = shaped
-    label = spec.label(instance)
+    label = op.label(instance)
     reason = spec.hypothesis(g, instance, config)
     if reason is not None:
         return SkippedCheck(theorem, g6, label, reason)
@@ -341,9 +297,9 @@ def check_theorem(
     ext = red = case = None
     if config.witnesses and spec.witnesses is not None:
         base = {"G": before.witness, "H": after.witness}
-        (ext_kind, ext_side), (red_kind, red_side) = spec.witnesses
-        ext = extend_witness(ext_kind, g, instance, base[ext_side], h=target).status
-        red_out = reduce_witness(red_kind, g, instance, base[red_side], h=target)
+        ext_kind, red_kind = spec.witnesses
+        ext = extend_witness(ext_kind, g, instance, base[WITNESS_KINDS[ext_kind].base], h=target).status
+        red_out = reduce_witness(red_kind, g, instance, base[WITNESS_KINDS[red_kind].base], h=target)
         red, case = red_out.status, red_out.case
     return TheoremCheck(
         theorem, g6, label, before.chi_dd, after.chi_dd, lower, upper,

@@ -1,18 +1,28 @@
 """The six graph operations whose effect on the domination chromatic
 number is bounded: vertex/edge removal, edge/vertex contraction,
-k-subdivision, and cycle extending.
+k-subdivision, and cycle extending.  Each is ``op(g, param)``.
 
 Vertex ids are compacted order-preservingly after removal, and a merged
 vertex takes the smaller original id's slot; the ``*_index_map`` helpers
 expose those deterministic mappings so colorings can be transferred.  A
 map depends only on the order and the ids, so each is built once and
 shared by every caller that asks for it.
+
+:data:`OPERATIONS` describes each operation once, keyed by the name of
+its function here: how to read and label its parameter, how to validate
+it against G, where G's vertices land in H, and how many ints it takes
+on the command line.  The table holds no function that applies an
+operation.  Each caller applies one through its own module global of
+that name, looked up at call time, because that is the attribute a
+tracer rebinds when it counts the calls made from each module.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Any, Callable, NamedTuple
 
 from .graph import CycleSpec, Graph, iter_bits
 
@@ -38,22 +48,33 @@ def require_removable(g: Graph, v: int) -> None:
         raise ValueError(f"vertex {v} out of range for order {g.n}")
 
 
-def require_edge(g: Graph, u: int, v: int) -> None:
-    """Raise ValueError unless (u, v) is an edge of ``g``."""
+def require_edge(g: Graph, e: tuple[int, int]) -> None:
+    """Raise ValueError unless ``e`` is an edge of ``g``."""
+    u, v = e
     if not g.has_edge(u, v):
         raise ValueError(f"({u},{v}) is not an edge")
 
 
-def require_contractible(g: Graph, u: int, v: int, edge: bool) -> None:
-    """Raise ValueError unless :func:`contract_edge` (``edge``) or
-    :func:`contract_vertices` accepts the pair."""
-    if edge:
-        if not g.has_edge(u, v):
-            raise ValueError(f"({u},{v}) is not an edge; use contract_vertices")
-    elif u == v:
+def require_contractible_edge(g: Graph, e: tuple[int, int]) -> None:
+    """Raise ValueError unless :func:`contract_edge` accepts ``e``."""
+    u, v = e
+    if not g.has_edge(u, v):
+        raise ValueError(f"({u},{v}) is not an edge; use contract_vertices")
+
+
+def require_contractible_pair(g: Graph, pair: tuple[int, int]) -> None:
+    """Raise ValueError unless :func:`contract_vertices` accepts ``pair``."""
+    u, v = pair
+    if u == v:
         raise ValueError("cannot contract a vertex with itself")
-    elif g.has_edge(u, v):
+    if g.has_edge(u, v):
         raise ValueError(f"({u},{v}) is an edge; use contract_edge")
+
+
+def require_path_length(g: Graph, k: int) -> None:
+    """Raise ValueError unless :func:`subdivide` accepts ``k``."""
+    if k < 1:
+        raise ValueError("path length must be at least 1")
 
 
 def _delete(adj, v: int) -> Graph:
@@ -71,8 +92,8 @@ def remove_vertex(g: Graph, v: int) -> Graph:
 
 def remove_edge(g: Graph, e: tuple[int, int]) -> Graph:
     """Delete one edge, keeping every vertex."""
+    require_edge(g, e)
     u, v = e
-    require_edge(g, u, v)
     masks = list(g.adj)
     masks[u] &= ~(1 << v)
     masks[v] &= ~(1 << u)
@@ -91,15 +112,14 @@ def _contract(g: Graph, u: int, v: int) -> Graph:
 
 def contract_edge(g: Graph, e: tuple[int, int]) -> Graph:
     """Contract an edge; parallels collapse and no loop appears."""
-    u, v = e
-    require_contractible(g, u, v, edge=True)
-    return _contract(g, u, v)
+    require_contractible_edge(g, e)
+    return _contract(g, *e)
 
 
-def contract_vertices(g: Graph, u: int, v: int) -> Graph:
+def contract_vertices(g: Graph, pair: tuple[int, int]) -> Graph:
     """Merge a non-adjacent vertex pair into one vertex."""
-    require_contractible(g, u, v, edge=False)
-    return _contract(g, u, v)
+    require_contractible_pair(g, pair)
+    return _contract(g, *pair)
 
 
 @dataclass(frozen=True)
@@ -122,8 +142,7 @@ def subdivide(g: Graph, k: int) -> tuple[Graph, SubdivisionMap]:
     Internal vertex ids are assigned in sorted edge order, so the result
     is deterministic: edge number t gets ids n + t(k-1) .. n + (t+1)(k-1) - 1.
     """
-    if k < 1:
-        raise ValueError("path length must be at least 1")
+    require_path_length(g, k)
     n2 = g.n + g.m * (k - 1)
     masks = [0] * n2
     superedges: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -150,3 +169,74 @@ def cycle_extend(g: Graph, c: CycleSpec) -> Graph:
     ]
     masks.append(hub_mask)
     return Graph(g.n + 1, masks)
+
+
+# Each reader tests type() first: plain ints and tuples, which almost every
+# caller passes, then skip the isinstance calls and the slow Sequence test.
+
+
+def _read_int(x) -> int | None:
+    return x if type(x) is int or (isinstance(x, int) and not isinstance(x, bool)) else None
+
+
+def _read_pair(x) -> tuple[int, int] | None:
+    if (type(x) is tuple or isinstance(x, Sequence)) and len(x) == 2:
+        u, v = x
+        if type(u) is type(v) is int or (_read_int(u) is not None and _read_int(v) is not None):
+            return (u, v)
+    return None
+
+
+def _read_cycle(x) -> CycleSpec | None:
+    if isinstance(x, CycleSpec):
+        return x
+    if isinstance(x, Sequence) and all(_read_int(v) is not None for v in x):
+        return CycleSpec(x)
+    return None
+
+
+def _edge_label(e: tuple[int, int]) -> str:
+    return f"e={e[0]}-{e[1]}"
+
+
+def _same_ids(n: int, param) -> range:
+    return range(n)
+
+
+def _contraction_map(n: int, pair: tuple[int, int]) -> tuple[int, ...]:
+    return contraction_index_map(n, *pair)
+
+
+class Operation(NamedTuple):
+    """One operation as its callers name, read and check it."""
+
+    # the parameter as the operation takes it (a pair in the order given),
+    # or None when it has the wrong shape; a short cycle raises ValueError
+    read: Callable[[Any], Any]
+    shape: str  # what ``read`` accepts, as a wrong-shape error names it
+    label: Callable[[Any], str]  # a read parameter as reports name it
+    validate: Callable[[Graph, Any], None]  # raise ValueError unless the operation accepts it
+    vertex_map: Callable[[int, Any], Sequence]  # (G's order, param) -> G's vertex id -> H's, None if deleted
+    arity: int | None  # ints on the command line; None: any count (a cycle)
+
+
+OPERATIONS = {
+    "remove_vertex": Operation(
+        _read_int, "a vertex (an int)", lambda v: f"v={v}", require_removable, removal_index_map, 1,
+    ),
+    "remove_edge": Operation(_read_pair, "an edge (two vertex ints)", _edge_label, require_edge, _same_ids, 2),
+    "contract_edge": Operation(
+        _read_pair, "an edge (two vertex ints)", _edge_label, require_contractible_edge, _contraction_map, 2,
+    ),
+    "contract_vertices": Operation(
+        _read_pair, "a vertex pair (two vertex ints)", lambda e: f"uv={e[0]}-{e[1]}",
+        require_contractible_pair, _contraction_map, 2,
+    ),
+    "subdivide": Operation(
+        _read_int, "a path length k (an int)", lambda k: f"k={k}", require_path_length, _same_ids, 1,
+    ),
+    "cycle_extend": Operation(
+        _read_cycle, "a cycle (a CycleSpec or a sequence of vertex ints)",
+        lambda cyc: "C=" + "-".join(str(v) for v in cyc.vertices), lambda g, cyc: cyc.validate(g), _same_ids, None,
+    ),
+}

@@ -21,27 +21,23 @@ check the result against the proof's color budget.  A branch only names
 its map, its fresh vertices, its proof case and its budget.
 
 Argument convention: ``g`` is always the theorem's graph G, and ``h`` is
-the graph H the theorem's operation makes from G: G - v for
-``add_vertex``/``remove_vertex``, G - e for ``add_edge``/``remove_edge``,
-the contraction of the pair for ``contract_edge``/``contract_vertices``/
-``uncontract``, and G with a hub on the cycle for ``cycle_extend``/
-``remove_hub``.  A caller that has built H already (the corpus harness)
+the graph H the theorem's operation makes from G; :data:`WITNESS_KINDS`
+names that operation for each kind, and which of G and H the base
+coloring colors.  A caller that has built H already (the corpus harness)
 passes it; otherwise it is built from ``g`` and ``params``.  Either way
-``params`` are validated against ``g``.  For ``add_vertex``/``add_edge``
-the base colors H and the construction colors G; for
-``contract_edge``/``contract_vertices``/``cycle_extend`` and
-``remove_vertex``/``remove_edge`` it colors G and the construction colors
-H; for ``uncontract``/``remove_hub`` it colors H and the construction
-recovers a coloring of G.
+``params`` are read by the operation's reader and validated against
+``g``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coloring import Coloring, DominationDiagnostic, _judge, is_domination_coloring
-from .graph import CycleSpec, Graph, bridges, cut_vertices, iter_bits
-from .ops import (
+from .graph import Graph, bridges, cut_vertices, iter_bits
+from .ops import (  # the operations as well: _operated calls them by name
+    OPERATIONS,
     contract_edge,
     contract_vertices,
     contraction_index_map,
@@ -49,33 +45,44 @@ from .ops import (
     remove_edge,
     removal_index_map,
     remove_vertex,
-    require_contractible,
-    require_edge,
-    require_removable,
 )
 
-EXTEND_KINDS = ("add_vertex", "add_edge", "contract_edge", "contract_vertices", "cycle_extend")
-REDUCE_KINDS = ("remove_vertex", "remove_edge", "uncontract", "remove_hub")
 
-# Witness kind -> the theorem's operation, G -> H.  Entries reach ops
-# through module globals at call time, so rebinding those names (as a
-# tracer does) reaches every call.
-_OPERATION = {
-    "add_vertex": lambda g, v: remove_vertex(g, v),
-    "remove_vertex": lambda g, v: remove_vertex(g, v),
-    "add_edge": lambda g, e: remove_edge(g, e),
-    "remove_edge": lambda g, e: remove_edge(g, e),
-    "contract_edge": lambda g, e: contract_edge(g, e),
-    "contract_vertices": lambda g, e: contract_vertices(g, *e),
-    "uncontract": lambda g, e: contract_edge(g, e) if g.has_edge(*e) else contract_vertices(g, *e),
-    "cycle_extend": lambda g, cyc: cycle_extend(g, cyc),
-    "remove_hub": lambda g, cyc: cycle_extend(g, cyc),
+class WitnessKind(NamedTuple):
+    operation: str  # the theorem's operation G -> H, a key of ops.OPERATIONS
+    base: str  # "G" or "H": the graph the base coloring colors
+    extend: bool  # an airtight direction (extend_witness), else a case analysis
+
+
+WITNESS_KINDS = {
+    "add_vertex": WitnessKind("remove_vertex", "H", True),
+    "add_edge": WitnessKind("remove_edge", "H", True),
+    "contract_edge": WitnessKind("contract_edge", "G", True),
+    "contract_vertices": WitnessKind("contract_vertices", "G", True),
+    "cycle_extend": WitnessKind("cycle_extend", "G", True),
+    "remove_vertex": WitnessKind("remove_vertex", "G", False),
+    "remove_edge": WitnessKind("remove_edge", "G", False),
+    # undoes either contraction: contract_edge when the pair is an edge
+    "uncontract": WitnessKind("contract_vertices", "H", False),
+    "remove_hub": WitnessKind("cycle_extend", "H", False),
 }
+EXTEND_KINDS = tuple(kind for kind, w in WITNESS_KINDS.items() if w.extend)
+REDUCE_KINDS = tuple(kind for kind, w in WITNESS_KINDS.items() if not w.extend)
 
 
-def _operated(kind: str, g: Graph, params, h: Graph | None) -> Graph:
-    """H as given, or built from G; callers validate ``params`` first."""
-    return _OPERATION[kind](g, params) if h is None else h
+def _operated(kind: str, g: Graph, params, h: Graph | None):
+    """``params`` read and validated against G, and H: as given, or built from G."""
+    name = WITNESS_KINDS[kind].operation
+    op = OPERATIONS[name]
+    param = op.read(params)
+    if param is None:
+        raise ValueError(f"{kind} takes {op.shape}, got {params!r}")
+    if kind == "uncontract" and g.has_edge(*param):
+        name = "contract_edge"
+    if h is None:
+        return param, globals()[name](g, param)  # this module's global: see the ops docstring
+    OPERATIONS[name].validate(g, param)
+    return param, h
 
 
 @dataclass(frozen=True)
@@ -142,37 +149,26 @@ def _recolor(case: str, target: Graph, base: Coloring, vmap, fresh, extra: int) 
 
 def extend_witness(kind: str, g: Graph, params, base: Coloring, h: Graph | None = None) -> WitnessOutcome:
     """One fresh color realizes the airtight proof directions; see module doc."""
+    if kind not in EXTEND_KINDS:
+        raise ValueError(f"unknown extend kind {kind!r}; expected one of {EXTEND_KINDS}")
+    param, h = _operated(kind, g, params, h)
     if kind == "add_vertex":
-        v = params
-        require_removable(g, v)
-        _require_dom(_operated(kind, g, v, h), base, "base coloring of G - v")
-        return _recolor("main", g, base, removal_index_map(g.n, v), [v], 1)
+        _require_dom(h, base, "base coloring of G - v")
+        return _recolor("main", g, base, removal_index_map(g.n, param), [param], 1)
 
     if kind == "add_edge":
-        u, v = sorted(params)
-        require_edge(g, *params)
-        _require_dom(_operated(kind, g, (u, v), h), base, "base coloring of G - e")
+        u, v = sorted(param)
+        _require_dom(h, base, "base coloring of G - e")
         if base.assignment[u] == base.assignment[v]:
             # the smaller endpoint takes the fresh color
             return _recolor("same_color", g, base, range(g.n), [u], 1)
         return _recolor("distinct_colors", g, base, range(g.n), [], 0)
 
-    if kind in ("contract_edge", "contract_vertices"):
-        u, v = params
-        require_contractible(g, u, v, edge=kind == "contract_edge")
-        target = _operated(kind, g, (u, v), h)
-        _require_dom(g, base, "base coloring of G")
-        imap = contraction_index_map(g.n, u, v)
-        return _recolor("main", target, base, imap, [imap[u]], 1)
-
+    _require_dom(g, base, "base coloring of G")
     if kind == "cycle_extend":
-        cyc: CycleSpec = params
-        cyc.validate(g)
-        target = _operated(kind, g, cyc, h)
-        _require_dom(g, base, "base coloring of G")
-        return _recolor("main", target, base, range(g.n), [g.n], 1)
-
-    raise ValueError(f"unknown extend kind {kind!r}; expected one of {EXTEND_KINDS}")
+        return _recolor("main", h, base, range(g.n), [g.n], 1)
+    imap = contraction_index_map(g.n, *param)  # contract_edge, contract_vertices
+    return _recolor("main", h, base, imap, [imap[param[0]]], 1)
 
 
 def _classes_dominated_only_by(c: Coloring, doms: tuple[int, ...], v: int) -> int:
@@ -188,21 +184,21 @@ def _classes_dominated_only_by(c: Coloring, doms: tuple[int, ...], v: int) -> in
 
 def reduce_witness(kind: str, g: Graph, params, base: Coloring, h: Graph | None = None) -> WitnessOutcome:
     """Case-by-case constructions of the non-airtight proof directions."""
+    if kind not in REDUCE_KINDS:
+        raise ValueError(f"unknown reduce kind {kind!r}; expected one of {REDUCE_KINDS}")
+    param, h = _operated(kind, g, params, h)
     if kind == "remove_vertex":
-        v = params
-        require_removable(g, v)
+        v = param
         if v in cut_vertices(g):
             raise ValueError(f"vertex {v} is a cut vertex; theorem hypothesis fails")
         doms = _require_dom(g, base, "base coloring of G")
         case = "case1" if base.classes[base.assignment[v]] != (1 << v) else "case2"
         imap = removal_index_map(g.n, v)
         fresh = [imap[w] for w in iter_bits(_classes_dominated_only_by(base, doms, v))]
-        target = _operated(kind, g, v, h)
-        return _recolor(case, target, base, imap, fresh, g.degree(v) - 1)
+        return _recolor(case, h, base, imap, fresh, g.degree(v) - 1)
 
     if kind == "remove_edge":
-        u, v = sorted(params)
-        require_edge(g, *params)
+        u, v = sorted(param)
         if (u, v) in bridges(g):
             raise ValueError(f"({u},{v}) is a bridge; theorem hypothesis fails")
         doms = _require_dom(g, base, "base coloring of G")
@@ -217,35 +213,24 @@ def reduce_witness(kind: str, g: Graph, params, base: Coloring, h: Graph | None 
             case, fresh = "case2", [u]
         else:
             case, fresh = "case1", []
-        target = _operated(kind, g, (u, v), h)
-        return _recolor(case, target, base, range(g.n), fresh, 2)
+        return _recolor(case, h, base, range(g.n), fresh, 2)
 
     if kind == "uncontract":
-        u, v = params
-        if u == v:
-            raise ValueError("uncontract needs two distinct vertices")
-        g.has_edge(u, v)  # raises on a vertex out of range
-        source = _operated(kind, g, (u, v), h)
-        _require_dom(source, base, "base coloring of the contracted graph")
-        return _recolor("main", g, base, contraction_index_map(g.n, u, v), [u, v], 2)
+        _require_dom(h, base, "base coloring of the contracted graph")
+        return _recolor("main", g, base, contraction_index_map(g.n, *param), list(param), 2)
 
-    if kind == "remove_hub":
-        cyc: CycleSpec = params
-        cyc.validate(g)
-        source = _operated(kind, g, cyc, h)
-        doms = _require_dom(source, base, "base coloring of the cycle-extended graph")
-        hub = g.n
-        i = base.assignment[hub]
-        case = "case1" if base.classes[i] == (1 << hub) else "case2"
-        flagged = _classes_dominated_only_by(base, doms, hub)
-        if case == "case1":
-            # vertices of G whose only dominated class is the hub's singleton
-            others = 0
-            for d in doms[:i] + doms[i + 1:]:
-                others |= d
-            flagged |= doms[i] & ~others & ~(1 << hub)
-        # the proof caps the fresh colors at the cycle length
-        fresh = list(iter_bits(flagged))[: cyc.length]
-        return _recolor(case, g, base, range(g.n), fresh, cyc.length)
-
-    raise ValueError(f"unknown reduce kind {kind!r}; expected one of {REDUCE_KINDS}")
+    cyc = param  # remove_hub
+    doms = _require_dom(h, base, "base coloring of the cycle-extended graph")
+    hub = g.n
+    i = base.assignment[hub]
+    case = "case1" if base.classes[i] == (1 << hub) else "case2"
+    flagged = _classes_dominated_only_by(base, doms, hub)
+    if case == "case1":
+        # vertices of G whose only dominated class is the hub's singleton
+        others = 0
+        for d in doms[:i] + doms[i + 1:]:
+            others |= d
+        flagged |= doms[i] & ~others & ~(1 << hub)
+    # the proof caps the fresh colors at the cycle length
+    fresh = list(iter_bits(flagged))[: cyc.length]
+    return _recolor(case, g, base, range(g.n), fresh, cyc.length)

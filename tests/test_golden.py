@@ -62,7 +62,11 @@ CLI_CASES = [
     *_in_formats("apply_subdivide", ["apply", "--op", "subdivide", "--params", "2", C4]),
     *_in_formats("apply_cycle_extend", ["apply", "--op", "cycle-extend", "--params", "0,1,2,3", C4]),
     *_in_formats("apply_stdin", ["apply", "--op", "contract-edge", "--params", "0,1", "-i", "-"], f"{C4}\n{K2}\n{K4}\n"),
+    ("apply_contract_edge_reversed", ["apply", "--op", "contract-edge", "--params", "1,0", C4], ""),
     ("apply_non_edge", ["apply", "--op", "remove-edge", "--params", "0,2", C4], ""),
+    ("apply_non_edge_reversed", ["apply", "--op", "remove-edge", "--params", "2,0", C4], ""),
+    ("apply_subdivide_k0", ["apply", "--op", "subdivide", "--params", "0", C4], ""),
+    ("apply_remove_vertex_order_1", ["apply", "--op", "remove-vertex", "--params", "0", "@"], ""),
     ("apply_bad_params", ["apply", "--op", "remove-edge", "--params", "0,x", C4], ""),
     ("apply_short_cycle", ["apply", "--op", "cycle-extend", "--params", "0,1", C4], ""),
     ("apply_not_a_cycle", ["apply", "--op", "cycle-extend", "--params", "0,1,3,2", C4], ""),
@@ -71,10 +75,13 @@ CLI_CASES = [
     *_in_formats("witness_stdin", ["witness", "--kind", "contract-edge", "--params", "0,1", "--base", "0,1,2,3", "-i", "-"], f"{C4}\n{K4}\n"),
     ("witness_add_edge", ["witness", "--kind", "add-edge", "--params", "0,1", "--base", "0,1,0,2", C4], ""),
     ("witness_remove_edge", ["witness", "--kind", "remove-edge", "--params", "0,1", "--base", "0,1,0,1", C4], ""),
+    ("witness_remove_non_edge_reversed", ["witness", "--kind", "remove-edge", "--params", "2,0", "--base", "0,1,0,1", C4], ""),
     ("witness_contract_vertices", ["witness", "--kind", "contract-vertices", "--params", "0,2", "--base", "0,1,0,1", C4], ""),
     ("witness_uncontract", ["witness", "--kind", "uncontract", "--params", "0,1", "--base", "0,1,2", K4], ""),
     ("witness_cycle_extend", ["witness", "--kind", "cycle-extend", "--params", "0,1,2,3", "--base", "0,1,0,1", C4], ""),
     ("witness_remove_hub", ["witness", "--kind", "remove-hub", "--params", "0,1,2,3", "--base", "0,1,0,1,2", C4], ""),
+    ("witness_uncontract_reversed", ["witness", "--kind", "uncontract", "--params", "1,0", "--base", "0,1,2", K4], ""),
+    ("witness_remove_hub_short_cycle", ["witness", "--kind", "remove-hub", "--params", "0,1", "--base", "0,1,0,1,2", C4], ""),
     ("witness_short_cycle", ["witness", "--kind", "cycle-extend", "--params", "0,1", "--base", "0,1,0,1", C4], ""),
     ("witness_bad_base", ["witness", "--kind", "add-vertex", "--params", "0", "--base", "0,1,1", C4], ""),
     ("witness_bad_base_text", ["witness", "--kind", "add-vertex", "--params", "0", "--base", "0,y", C4], ""),

@@ -66,7 +66,7 @@ def test_check_theorem_6_example():
 
 @pytest.mark.parametrize(
     "theorem,graph6,contract",
-    [(3, "G@?I\\c", lambda g: contract_edge(g, (6, 7))), (4, "GGE?~?", lambda g: contract_vertices(g, 6, 7))],
+    [(3, "G@?I\\c", lambda g: contract_edge(g, (6, 7))), (4, "GGE?~?", lambda g: contract_vertices(g, (6, 7)))],
     ids=["thm3", "thm4"],
 )
 def test_known_violations_at_n8(theorem, graph6, contract):

@@ -73,7 +73,7 @@ def test_ilp_agrees_on_paths_and_cycles(family):
 def test_ilp_agrees_on_blade_graphs_and_their_contractions(blade_graph, s):
     g = blade_graph(s)
     shared = blade_graph(s, shared=True)
-    for h in (g, contract_edge(g, (0, 1)), shared, contract_vertices(shared, 0, 1)):
+    for h in (g, contract_edge(g, (0, 1)), shared, contract_vertices(shared, (0, 1))):
         _agree(h)
 
 

@@ -1,5 +1,9 @@
+import io
+
 import pytest
 
+from domchrom import cli, harness, ops, witnesses
+from domchrom.coloring import Coloring
 from domchrom.graph import (
     CycleSpec,
     enumerate_connected_graphs,
@@ -8,6 +12,7 @@ from domchrom.graph import (
     make_named,
 )
 from domchrom.ops import (
+    OPERATIONS,
     contract_edge,
     contract_vertices,
     contraction_index_map,
@@ -56,20 +61,20 @@ def test_contract_edge_examples():
 
 def test_contract_vertices_examples():
     p3 = make_named("path", 3)
-    assert contract_vertices(p3, 0, 2) == make_named("complete", 2)
+    assert contract_vertices(p3, (0, 2)) == make_named("complete", 2)
     # C_4 with an antipodal pair merged collapses the doubled edge: P_3
     c4 = make_named("cycle", 4)
-    merged = contract_vertices(c4, 0, 2)
+    merged = contract_vertices(c4, (0, 2))
     assert merged == from_edges(3, [(0, 1), (0, 2)])
     # C_5 at distance 2: triangle with a pendant, 4 vertices 4 edges
     c5 = make_named("cycle", 5)
-    tri_pendant = contract_vertices(c5, 0, 2)
+    tri_pendant = contract_vertices(c5, (0, 2))
     assert tri_pendant.n == 4 and tri_pendant.m == 4
     assert sorted(tri_pendant.adj[w].bit_count() for w in range(4)) == [1, 2, 2, 3]
     with pytest.raises(ValueError):
-        contract_vertices(c4, 0, 1)  # adjacent: use contract_edge
+        contract_vertices(c4, (0, 1))  # adjacent: use contract_edge
     with pytest.raises(ValueError):
-        contract_vertices(c4, 2, 2)
+        contract_vertices(c4, (2, 2))
 
 
 def test_index_maps():
@@ -88,20 +93,21 @@ def test_contractions_stay_simple_on_full_corpus():
     # Graph() construction asserts loop-freeness and symmetry, so building
     # every contraction over the full n <= 6 corpus is the simplicity check;
     # connectivity preservation rides along, and every removal and
-    # contraction is G sent through its index map.
+    # contraction is G sent through the vertex map its OPERATIONS entry gives.
+    vertex_map = {name: op.vertex_map for name, op in OPERATIONS.items()}
     for n in range(2, 7):
         for g in enumerate_connected_graphs(n):
             for u, v in g.edges():
                 h = contract_edge(g, (u, v))
                 assert is_connected(h)
-                assert h == _through(g, contraction_index_map(n, u, v))
+                assert h == _through(g, vertex_map["contract_edge"](n, (u, v)))
             for v in range(n):
-                assert remove_vertex(g, v) == _through(g, removal_index_map(n, v))
+                assert remove_vertex(g, v) == _through(g, vertex_map["remove_vertex"](n, v))
                 for u in range(v):
                     if not g.has_edge(u, v):
-                        h = contract_vertices(g, u, v)
+                        h = contract_vertices(g, (u, v))
                         assert is_connected(h)
-                        assert h == _through(g, contraction_index_map(n, v, u))
+                        assert h == _through(g, vertex_map["contract_vertices"](n, (v, u)))
 
 
 def test_operations_preserve_connectedness():
@@ -168,3 +174,44 @@ def test_cycle_extend_counts():
         assert grown.n == cn.n + 1
         assert grown.m == cn.m + n
         assert grown.degree(cn.n) == n
+
+
+@pytest.mark.parametrize(
+    "module, names",
+    [
+        (harness, {spec.operation for spec in harness._SPECS.values()}),
+        (witnesses, {kind.operation for kind in witnesses.WITNESS_KINDS.values()}),
+        (cli, set(OPERATIONS)),
+    ],
+    ids=["harness", "witnesses", "cli"],
+)
+def test_operation_names_are_ops_functions_and_module_globals(module, names):
+    # each caller applies an operation through its own module global of
+    # that name, so a dropped import would otherwise surface as a KeyError
+    assert names <= set(OPERATIONS)
+    for name in OPERATIONS:
+        assert getattr(ops, name).__module__ == "domchrom.ops"
+    for name in names:
+        assert vars(module).get(name) is getattr(ops, name), (module.__name__, name)
+
+
+@pytest.mark.parametrize(
+    "module, call",
+    [
+        (harness, lambda: harness.check_theorem(1, make_named("cycle", 4), 0)),
+        (witnesses, lambda: witnesses.extend_witness("add_vertex", make_named("cycle", 4), 0, Coloring([0, 1, 0]))),
+        (cli, lambda: cli.main(["apply", "--op", "remove-vertex", "--params", "0", "Cl"], stdout=io.StringIO())),
+    ],
+    ids=["harness", "witnesses", "cli"],
+)
+def test_callers_apply_an_operation_through_their_module_global(monkeypatch, module, call):
+    # a tracer counts op calls per calling module by rebinding this global
+    calls = []
+
+    def counting(g, v):
+        calls.append(v)
+        return remove_vertex(g, v)
+
+    monkeypatch.setattr(module, "remove_vertex", counting)
+    call()
+    assert calls == [0]

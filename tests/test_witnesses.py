@@ -14,7 +14,7 @@ from domchrom.graph import (
 from domchrom.harness import _SPECS, HarnessConfig, theorem_instances
 from domchrom.ops import contract_edge, contract_vertices, cycle_extend, remove_edge, remove_vertex
 from domchrom.solver import chi_dd_exact, chi_dd_oracle
-from domchrom.witnesses import EXTEND_KINDS, extend_witness, reduce_witness
+from domchrom.witnesses import EXTEND_KINDS, WITNESS_KINDS, extend_witness, reduce_witness
 
 
 def test_extend_add_vertex_example():
@@ -120,6 +120,33 @@ def test_reduce_remove_hub_cases():
     assert out.colors_used <= hub_solo.class_count + 4
     ok, _ = is_domination_coloring(w4, hub_solo)
     assert ok
+
+
+@pytest.mark.parametrize(
+    "witness, kind, params, message",
+    [
+        (extend_witness, "add_vertex", (0, 1), r"^add_vertex takes a vertex \(an int\), got \(0, 1\)$"),
+        (extend_witness, "add_vertex", True, r"^add_vertex takes a vertex \(an int\), got True$"),
+        (reduce_witness, "remove_vertex", 1.0, r"^remove_vertex takes a vertex \(an int\), got 1.0$"),
+        (extend_witness, "add_edge", (0, 1, 2), r"^add_edge takes an edge \(two vertex ints\), got \(0, 1, 2\)$"),
+        (reduce_witness, "uncontract", 0, r"^uncontract takes a vertex pair \(two vertex ints\), got 0$"),
+        (extend_witness, "cycle_extend", 5, r"^cycle_extend takes a cycle \(a CycleSpec or a sequence of vertex ints\), got 5$"),
+        # a vertex list is a cycle, as check_theorem takes it, and is validated as one
+        (reduce_witness, "remove_hub", [0, 1, 3, 2], "^consecutive cycle vertices 1 and 3 are not adjacent$"),
+    ],
+    ids=["vertex-pair", "vertex-bool", "vertex-float", "edge-triple", "pair-int", "cycle-int", "cycle-list"],
+)
+def test_witnesses_reject_misshapen_params_naming_the_shape(witness, kind, params, message):
+    with pytest.raises(ValueError, match=message):
+        witness(kind, make_named("cycle", 4), params, Coloring([0, 1, 0, 1, 2]))
+
+
+def test_remove_hub_takes_a_vertex_list_as_a_cycle():
+    c4 = make_named("cycle", 4)
+    base = Coloring([0, 1, 0, 1, 2])
+    assert reduce_witness("remove_hub", c4, [0, 1, 2, 3], base) == reduce_witness(
+        "remove_hub", c4, CycleSpec((0, 1, 2, 3)), base
+    )
 
 
 def test_witness_outcomes_stay_within_budget_when_validated():
@@ -256,17 +283,14 @@ def test_witnesses_given_h_match_witnesses_that_build_it():
         for g in enumerate_connected_graphs(n):
             for theorem in (1, 2, 3, 4, 6):
                 spec = _SPECS[theorem]
-                (ext_kind, ext_side), (red_kind, red_side) = spec.witnesses
                 for instance in theorem_instances(theorem, g, config):
                     try:
                         h = spec.apply(g, instance)
                     except ValueError:
                         h = g  # no H exists; the params must be rejected before h is used
                     base = {"G": base_of(g), "H": base_of(h)}
-                    for witness, kind, side in (
-                        (extend_witness, ext_kind, ext_side),
-                        (reduce_witness, red_kind, red_side),
-                    ):
+                    for witness, kind in zip((extend_witness, reduce_witness), spec.witnesses):
+                        side = WITNESS_KINDS[kind].base
                         built = _result(witness, kind, g, instance, base[side])
                         given = _result(witness, kind, g, instance, base[side], h=h)
                         assert given == built, (to_graph6(g), theorem, instance, kind)
