@@ -22,6 +22,7 @@ from domchrom import (
     remove_edge,
     remove_vertex,
     subdivide,
+    superedges,
     to_graph6,
 )
 
@@ -49,13 +50,12 @@ print(f"merge vertices 0,2   -> {to_graph6(h)} (triangle+pendant), chi_dd = {chi
 print()
 print("== Subdivision: every edge becomes a path of length k ==")
 for k in (1, 2, 3, 4):
-    s, smap = subdivide(c5, k)
+    s = subdivide(c5, k)
     lo = path_chi_dd(k + 1)
     hi = (c5.m - 1) * path_chi_dd(k) + path_chi_dd(k + 1)
     marker = "" if k > 1 else "   (S_1(G) = G)"
     print(f"S_{k}(C_5): n={s.n:>2} chi_dd={chi(s):>2} in [{lo},{hi}]{marker}")
-s, smap = subdivide(c5, 3)
-print(f"superedge of (0,1) in S_3(C_5): {smap.superedges[(0, 1)]}")
+print(f"superedge of (0,1) in S_3(C_5): {superedges(c5, 3)[(0, 1)]}")
 
 print()
 print("== Cycle extension: a hub joined to every vertex of a cycle ==")

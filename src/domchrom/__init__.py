@@ -44,7 +44,6 @@ from .harness import (
     theorem_instances,
 )
 from .ops import (
-    SubdivisionMap,
     contract_edge,
     contract_vertices,
     contraction_index_map,
@@ -53,6 +52,7 @@ from .ops import (
     remove_edge,
     remove_vertex,
     subdivide,
+    superedges,
 )
 from .solver import (
     DEFAULT_BUDGET,
@@ -91,7 +91,6 @@ __all__ = [
     "REDUCE_KINDS",
     "SkippedCheck",
     "SolveResult",
-    "SubdivisionMap",
     "TheoremCheck",
     "WitnessOutcome",
     "bridges",
@@ -125,6 +124,7 @@ __all__ = [
     "remove_vertex",
     "run_corpus",
     "subdivide",
+    "superedges",
     "theorem_instances",
     "to_graph6",
 ]

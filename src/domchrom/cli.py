@@ -34,6 +34,7 @@ from .ops import (  # the operations as well: apply calls them by name
     remove_edge,
     remove_vertex,
     subdivide,
+    superedges,
 )
 from .solver import DEFAULT_BUDGET, chi_dd_exact, chi_dd_oracle
 from .witnesses import EXTEND_KINDS, WITNESS_KINDS, extend_witness, reduce_witness
@@ -263,8 +264,7 @@ def _cmd_apply(args, stdin, stdout, stderr) -> int:
         vmap = op.vertex_map(g.n, param)
         row = {"graph6": g6, "vertex_map": {str(w): vmap[w] for w in range(g.n)}}
         if name == "subdivide":
-            h, smap = h
-            row["superedges"] = {f"{u}-{v}": path for (u, v), path in smap.superedges.items()}
+            row["superedges"] = {f"{u}-{v}": path for (u, v), path in superedges(g, param).items()}
         elif name == "cycle_extend":
             row["hub"] = g.n
         rows.append({**row, "result": to_graph6(h)})

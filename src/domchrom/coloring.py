@@ -99,13 +99,6 @@ class DominationDiagnostic:
         )
 
 
-def _check_length(g: Graph, c: Coloring) -> None:
-    if len(c.assignment) != g.n:
-        raise ValueError(
-            f"coloring covers {len(c.assignment)} vertices but graph has {g.n}"
-        )
-
-
 def is_proper(g: Graph, c: Coloring) -> bool:
     """True iff no edge joins two vertices of the same color."""
     return not is_domination_coloring(g, c)[1].improper_edges
@@ -121,12 +114,11 @@ def dominators_of_class(g: Graph, c: Coloring, i: int) -> set[int]:
 
 
 def classes_dominated_by(g: Graph, c: Coloring, v: int) -> set[int]:
-    """Color indices i with class i inside N[v]."""
-    _check_length(g, c)
+    """Color indices i with class i inside N[v]: those whose dominator mask holds v."""
+    doms = _judge(g, c)[0]
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range for order {g.n}")
-    cv = g.closed[v]
-    return {i for i, members in enumerate(c.classes) if not members & ~cv}
+    return {i for i, d in enumerate(doms) if (d >> v) & 1}
 
 
 # the verdict of every domination coloring; frozen, so one instance serves all
@@ -144,7 +136,8 @@ def _judge(g: Graph, c: Coloring) -> tuple[tuple[int, ...], DominationDiagnostic
     memo = c._judged
     if memo is not None and memo[0] == adj:
         return memo[1], memo[2]
-    _check_length(g, c)
+    if len(c.assignment) != g.n:
+        raise ValueError(f"coloring covers {len(c.assignment)} vertices but graph has {g.n}")
     closed = g.closed
     classes = c.classes
     full = (1 << g.n) - 1

@@ -532,30 +532,37 @@ def _lowpoint(g: Graph, caller: str) -> tuple[frozenset[int], frozenset[tuple[in
     cuts: set[int] = set()
     bridge_set: set[tuple[int, int]] = set()
     adj = g.adj
-    timer = 0
-
-    def dfs(v: int, parent: int) -> None:
-        nonlocal timer
-        disc[v] = low[v] = timer
-        timer += 1
-        children = 0
-        for u in iter_bits(adj[v]):
-            if disc[u] == -1:
-                children += 1
-                dfs(u, v)
-                if low[u] >= disc[v]:  # u's subtree reaches nothing above v
-                    if parent != -1:
-                        cuts.add(v)
-                    if low[u] > disc[v]:
-                        bridge_set.add((v, u) if v < u else (u, v))
-                elif low[u] < low[v]:
-                    low[v] = low[u]
-            elif u != parent and disc[u] < low[v]:
+    disc[0] = 0
+    timer = 1
+    root_children = 0
+    # An explicit stack, so a long path cannot exhaust the interpreter's: each
+    # frame is a vertex, its DFS parent (-1 at the root) and its unseen neighbours.
+    stack = [(0, -1, iter_bits(adj[0]))]
+    while stack:
+        v, parent, rest = stack[-1]
+        for u in rest:
+            if disc[u] == -1:  # a tree edge: descend, and resume v's neighbours later
+                disc[u] = low[u] = timer
+                timer += 1
+                stack.append((u, v, iter_bits(adj[u])))
+                break
+            if u != parent and disc[u] < low[v]:
                 low[v] = disc[u]
-        if parent == -1 and children >= 2:
-            cuts.add(v)
-
-    dfs(0, -1)
+        else:  # v is finished: fold its subtree into its parent
+            stack.pop()
+            if parent == -1:
+                continue
+            if low[v] >= disc[parent]:  # v's subtree reaches nothing above parent
+                if parent == 0:
+                    root_children += 1
+                else:
+                    cuts.add(parent)
+                if low[v] > disc[parent]:
+                    bridge_set.add((parent, v) if parent < v else (v, parent))
+            elif low[v] < low[parent]:
+                low[parent] = low[v]
+    if root_children >= 2:
+        cuts.add(0)
     g._cut_structure = (frozenset(cuts), frozenset(bridge_set))
     return g._cut_structure
 

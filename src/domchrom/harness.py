@@ -7,7 +7,11 @@ exhaustion is recorded as an unknown, never as a pass.  Proof-witness
 constructions are run alongside theorems 1-4 and 6 and their gap rates
 are aggregated per proof case.
 
-Theorem 5 subdivides the canonical form of G (:func:`canonical_form`),
+Each theorem names its operation in ``ops.OPERATIONS``, and
+:func:`check_theorem` applies it as ``globals()[name](g, instance)``, the
+way ``witnesses`` and ``cli`` apply theorems' operations too (see the
+``ops`` docstring).  Theorem 5 alone sets ``canonical``: it subdivides
+the canonical form of G (:func:`canonical_form`),
 not G itself: chi_dd(S(G,k)) depends only on G's isomorphism class and
 no witness reads S(G,k)'s labels, so isomorphic instances share one
 entry in the solve cache (keyed by adjacency tuple), and each theorem-5
@@ -36,7 +40,7 @@ from .graph import (
     parse_graph6,
     to_graph6,
 )
-from .ops import (
+from .ops import (  # the operations as well: check_theorem calls them by name
     OPERATIONS,
     contract_edge,
     contract_vertices,
@@ -149,15 +153,15 @@ def _no_skip(g, instance, config):
 
 
 class _Spec(NamedTuple):
-    """How one theorem is checked: H = apply(G, instance), lower <= chi_dd(H) <= upper."""
+    """How one theorem is checked: H = operation(G, instance), lower <= chi_dd(H) <= upper."""
 
-    operation: str  # the ops.OPERATIONS entry that reads, labels and validates an instance
+    operation: str  # the ops.OPERATIONS entry that makes H and reads, labels and validates an instance
     instances: Callable[[Graph, HarnessConfig], Iterable]  # a corpus run's instance domain
-    apply: Callable[[Graph, Any], Graph]
     bounds: Callable[[int, Graph, Any], tuple[int, int]]  # given chi_dd(G)
     # skip reason only; the operation validates
     hypothesis: Callable[[Graph, Any, HarnessConfig], str | None] = _no_skip
     witnesses: tuple[str, str] | None = None  # (extend kind, reduce kind)
+    canonical: bool = False  # apply the operation to canonical_form(G) (module docstring)
 
 
 def _removable_vertex(g: Graph, v: int, config: HarnessConfig) -> str | None:
@@ -173,15 +177,10 @@ def _removable_edge(g: Graph, e: tuple[int, int], config: HarnessConfig) -> str 
 def _subdividable(g: Graph, k: int, config: HarnessConfig) -> str | None:
     if g.m == 0:
         return "no edges"
+    if k < 2:  # whatever the cap: k = 1 leaves G as it is
+        raise ValueError(f"theorem 5 subdivides each edge into a path of length k >= 2, got k={k}")
     order = g.n + g.m * (k - 1)
     return f"subdivided order {order} above cap" if order > config.subdivided_cap else None
-
-
-def _subdivision(g: Graph, k: int) -> Graph:
-    # canonical, so isomorphic instances share a cache entry (module docstring)
-    if k < 2:
-        raise ValueError(f"theorem 5 subdivides each edge into a path of length k >= 2, got k={k}")
-    return subdivide(canonical_form(g), k)[0]
 
 
 def _cycles(g: Graph, config: HarnessConfig) -> list:
@@ -189,13 +188,11 @@ def _cycles(g: Graph, config: HarnessConfig) -> list:
     return enumerate_cycles(g, cap) if cap >= 3 else []
 
 
-# each apply calls its op through this module's global: see the ops docstring
 _SPECS = {
     1: _Spec(
         operation="remove_vertex",
         instances=lambda g, config: range(g.n),
         hypothesis=_removable_vertex,
-        apply=lambda g, v: remove_vertex(g, v),
         bounds=lambda chi, g, v: (chi - 1, chi + g.degree(v) - 1),
         witnesses=("add_vertex", "remove_vertex"),
     ),
@@ -203,21 +200,18 @@ _SPECS = {
         operation="remove_edge",
         instances=lambda g, config: g.edges(),
         hypothesis=_removable_edge,
-        apply=lambda g, e: remove_edge(g, e),
         bounds=lambda chi, g, e: (chi - 1, chi + 2),
         witnesses=("add_edge", "remove_edge"),
     ),
     3: _Spec(
         operation="contract_edge",
         instances=lambda g, config: g.edges(),
-        apply=lambda g, e: contract_edge(g, e),
         bounds=lambda chi, g, e: (chi - 2, chi + 1),
         witnesses=("contract_edge", "uncontract"),
     ),
     4: _Spec(
         operation="contract_vertices",
         instances=lambda g, config: [(u, v) for v in range(g.n) for u in range(v) if not (g.adj[u] >> v) & 1],
-        apply=lambda g, e: contract_vertices(g, e),
         bounds=lambda chi, g, e: (chi - 2, chi + 1),
         witnesses=("contract_vertices", "uncontract"),
     ),
@@ -225,13 +219,12 @@ _SPECS = {
         operation="subdivide",
         instances=lambda g, config: config.k_values,
         hypothesis=_subdividable,
-        apply=_subdivision,
         bounds=lambda chi, g, k: (path_chi_dd(k + 1), (g.m - 1) * path_chi_dd(k) + path_chi_dd(k + 1)),
+        canonical=True,
     ),
     6: _Spec(
         operation="cycle_extend",
         instances=_cycles,
-        apply=lambda g, cyc: cycle_extend(g, cyc),
         bounds=lambda chi, g, cyc: (chi - cyc.length, chi + 1),
         witnesses=("cycle_extend", "remove_hub"),
     ),
@@ -284,7 +277,8 @@ def check_theorem(
     reason = spec.hypothesis(g, instance, config)
     if reason is not None:
         return SkippedCheck(theorem, g6, label, reason)
-    target = spec.apply(g, instance)
+    # this module's global, looked up now: see the ops docstring
+    target = globals()[spec.operation](canonical_form(g) if spec.canonical else g, instance)
     before = _solve_cached(g, config.budget, cache)
     if before.status != "exact":
         return SkippedCheck(theorem, g6, label, _UNKNOWN)

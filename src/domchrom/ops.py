@@ -1,6 +1,7 @@
 """The six graph operations whose effect on the domination chromatic
 number is bounded: vertex/edge removal, edge/vertex contraction,
-k-subdivision, and cycle extending.  Each is ``op(g, param)``.
+k-subdivision, and cycle extending.  Each is ``op(g, param)`` and returns
+the graph it makes; :func:`superedges` gives the paths of a subdivision.
 
 Vertex ids are compacted order-preservingly after removal, and a merged
 vertex takes the smaller original id's slot; the ``*_index_map`` helpers
@@ -12,15 +13,16 @@ shared by every caller that asks for it.
 its function here: how to read and label its parameter, how to validate
 it against G, where G's vertices land in H, and how many ints it takes
 on the command line.  The table holds no function that applies an
-operation.  Each caller applies one through its own module global of
-that name, looked up at call time, because that is the attribute a
-tracer rebinds when it counts the calls made from each module.
+operation.  Its three callers, ``harness``, ``witnesses`` and ``cli``,
+each apply one in the same way, as ``globals()[name](g, param)``: through
+their own module global of that name, looked up at call time, because
+that is the attribute a tracer rebinds when it counts the calls made
+from each module.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any, Callable, NamedTuple
 
@@ -34,9 +36,9 @@ def removal_index_map(n: int, v: int) -> tuple[int | None, ...]:
 
 
 @lru_cache(maxsize=None)
-def contraction_index_map(n: int, u: int, v: int) -> tuple[int, ...]:
-    """Old vertex id -> id after merging u and v into min(u, v)'s slot."""
-    u, v = sorted((u, v))
+def contraction_index_map(n: int, pair: tuple[int, int]) -> tuple[int, ...]:
+    """Old vertex id -> id after merging the pair into its smaller id's slot."""
+    u, v = sorted(pair)
     return tuple(u if w == v else w - (w > v) for w in range(n))
 
 
@@ -122,39 +124,30 @@ def contract_vertices(g: Graph, pair: tuple[int, int]) -> Graph:
     return _contract(g, *pair)
 
 
-@dataclass(frozen=True)
-class SubdivisionMap:
-    """Correspondence between edges of g and superedges of its k-subdivision.
-
-    ``superedges[(u, v)]`` (u < v) is the full path u, x_1, ..., x_{k-1}, v
-    in the subdivided graph; base vertices keep their ids.
-    """
-
-    superedges: dict[tuple[int, int], tuple[int, ...]]
-
-    def internal_vertices(self) -> set[int]:
-        return {x for path in self.superedges.values() for x in path[1:-1]}
-
-
-def subdivide(g: Graph, k: int) -> tuple[Graph, SubdivisionMap]:
-    """Replace every edge with a path of length k; k = 1 reproduces g exactly.
+def superedges(g: Graph, k: int) -> dict[tuple[int, int], tuple[int, ...]]:
+    """Each edge (u, v) of g, u < v, -> its path u, x_1, ..., x_{k-1}, v in
+    :func:`subdivide`'s graph; base vertices keep their ids.
 
     Internal vertex ids are assigned in sorted edge order, so the result
     is deterministic: edge number t gets ids n + t(k-1) .. n + (t+1)(k-1) - 1.
     """
     require_path_length(g, k)
-    n2 = g.n + g.m * (k - 1)
-    masks = [0] * n2
-    superedges: dict[tuple[int, int], tuple[int, ...]] = {}
-    nxt = g.n
-    for u, v in g.edges():
-        path = [u] + list(range(nxt, nxt + k - 1)) + [v]
-        nxt += k - 1
+    return {
+        (u, v): (u, *range(g.n + t * (k - 1), g.n + (t + 1) * (k - 1)), v)
+        for t, (u, v) in enumerate(g.edges())
+    }
+
+
+def subdivide(g: Graph, k: int) -> Graph:
+    """Replace every edge with the path :func:`superedges` gives it; k = 1
+    reproduces g exactly."""
+    paths = superedges(g, k)
+    masks = [0] * (g.n + g.m * (k - 1))
+    for path in paths.values():
         for a, b in zip(path, path[1:]):
             masks[a] |= 1 << b
             masks[b] |= 1 << a
-        superedges[(u, v)] = tuple(path)
-    return Graph(n2, masks), SubdivisionMap(superedges)
+    return Graph(len(masks), masks)
 
 
 def cycle_extend(g: Graph, c: CycleSpec) -> Graph:
@@ -203,10 +196,6 @@ def _same_ids(n: int, param) -> range:
     return range(n)
 
 
-def _contraction_map(n: int, pair: tuple[int, int]) -> tuple[int, ...]:
-    return contraction_index_map(n, *pair)
-
-
 class Operation(NamedTuple):
     """One operation as its callers name, read and check it."""
 
@@ -226,11 +215,11 @@ OPERATIONS = {
     ),
     "remove_edge": Operation(_read_pair, "an edge (two vertex ints)", _edge_label, require_edge, _same_ids, 2),
     "contract_edge": Operation(
-        _read_pair, "an edge (two vertex ints)", _edge_label, require_contractible_edge, _contraction_map, 2,
+        _read_pair, "an edge (two vertex ints)", _edge_label, require_contractible_edge, contraction_index_map, 2,
     ),
     "contract_vertices": Operation(
         _read_pair, "a vertex pair (two vertex ints)", lambda e: f"uv={e[0]}-{e[1]}",
-        require_contractible_pair, _contraction_map, 2,
+        require_contractible_pair, contraction_index_map, 2,
     ),
     "subdivide": Operation(
         _read_int, "a path length k (an int)", lambda k: f"k={k}", require_path_length, _same_ids, 1,

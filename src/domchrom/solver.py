@@ -315,8 +315,6 @@ def _partition_colorings(n: int) -> tuple[tuple[Coloring, ...], ...]:
     Entry k-1 holds the partitions into exactly k blocks, encoded as
     restricted growth strings, so they are already in dense normal form.
     """
-    if n == 1:
-        return ((Coloring((0,)),),)
     by_k: list[list[Coloring]] = [[] for _ in range(n)]
     rgs = [0] * n
 

@@ -78,6 +78,8 @@ def _operated(kind: str, g: Graph, params, h: Graph | None):
     if param is None:
         raise ValueError(f"{kind} takes {op.shape}, got {params!r}")
     if kind == "uncontract" and g.has_edge(*param):
+        if h is not None:
+            return param, h  # has_edge is contract_edge's whole validation
         name = "contract_edge"
     if h is None:
         return param, globals()[name](g, param)  # this module's global: see the ops docstring
@@ -167,7 +169,7 @@ def extend_witness(kind: str, g: Graph, params, base: Coloring, h: Graph | None 
     _require_dom(g, base, "base coloring of G")
     if kind == "cycle_extend":
         return _recolor("main", h, base, range(g.n), [g.n], 1)
-    imap = contraction_index_map(g.n, *param)  # contract_edge, contract_vertices
+    imap = contraction_index_map(g.n, param)  # contract_edge, contract_vertices
     return _recolor("main", h, base, imap, [imap[param[0]]], 1)
 
 
@@ -217,7 +219,7 @@ def reduce_witness(kind: str, g: Graph, params, base: Coloring, h: Graph | None 
 
     if kind == "uncontract":
         _require_dom(h, base, "base coloring of the contracted graph")
-        return _recolor("main", g, base, contraction_index_map(g.n, *param), list(param), 2)
+        return _recolor("main", g, base, contraction_index_map(g.n, param), list(param), 2)
 
     cyc = param  # remove_hub
     doms = _require_dom(h, base, "base coloring of the cycle-extended graph")

@@ -65,6 +65,8 @@ CLI_CASES = [
     ("apply_contract_edge_reversed", ["apply", "--op", "contract-edge", "--params", "1,0", C4], ""),
     ("apply_non_edge", ["apply", "--op", "remove-edge", "--params", "0,2", C4], ""),
     ("apply_non_edge_reversed", ["apply", "--op", "remove-edge", "--params", "2,0", C4], ""),
+    ("apply_subdivide_k1", ["apply", "--op", "subdivide", "--params", "1", C4], ""),
+    ("apply_subdivide_no_edges", ["apply", "--op", "subdivide", "--params", "2", "@"], ""),
     ("apply_subdivide_k0", ["apply", "--op", "subdivide", "--params", "0", C4], ""),
     ("apply_remove_vertex_order_1", ["apply", "--op", "remove-vertex", "--params", "0", "@"], ""),
     ("apply_bad_params", ["apply", "--op", "remove-edge", "--params", "0,x", C4], ""),

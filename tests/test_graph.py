@@ -24,6 +24,7 @@ from domchrom.graph import (
     parse_graph6,
     to_graph6,
 )
+from domchrom.harness import HarnessConfig, SkippedCheck, check_theorem
 from domchrom.ops import remove_edge, remove_vertex, subdivide
 
 # labeled connected graph counts for n = 1..7 (OEIS A001187)
@@ -150,7 +151,7 @@ def test_graph_kernel_matches_the_per_edge_definition(n):
 
 def test_graph_kernel_validates_a_subdivision_of_order_70():
     # above graph6's one-byte header (62) and above 64: the kernel's matrix is 128 bits wide
-    h, _ = subdivide(make_named("cycle", 5), 14)
+    h = subdivide(make_named("cycle", 5), 14)
     assert (h.n, h.m) == (70, 70)
     assert all(h.degree(v) == 2 for v in range(h.n)) and is_connected(h)
     assert _built(h.n, h.adj) == _per_edge(h.n, h.adj)
@@ -377,6 +378,16 @@ def test_cut_structure_matches_removal_on_corpus():
             brs = bridges(g)
             for e in g.edges():
                 assert (e in brs) == (not is_connected(remove_edge(g, e)))
+
+
+def test_cut_structure_of_long_paths_and_cycles():
+    # the DFS keeps its own stack, so depth is not bounded by the recursion limit
+    p, c = make_named("path", 2000), make_named("cycle", 2000)
+    assert cut_vertices(p) == frozenset(range(1, 1999))
+    assert bridges(p) == frozenset((v, v + 1) for v in range(1999))
+    assert cut_vertices(c) == frozenset() and bridges(c) == frozenset()
+    chk = check_theorem(1, make_named("cycle", 1200), 0, config=HarnessConfig(budget=50, witnesses=False))
+    assert isinstance(chk, SkippedCheck) and chk.reason == "solver budget exhausted"
 
 
 def test_enumerate_cycles_examples():

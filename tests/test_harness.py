@@ -149,6 +149,18 @@ def test_malformed_instance_raises_before_any_solve(monkeypatch):
     ]:
         with pytest.raises(ValueError, match=message):
             check_theorem(theorem, c4, instance, config=HarnessConfig(budget=1))
+    # theorem 5's k rule holds whatever the cap, though S(C4,1) = C4 is above this one
+    with pytest.raises(ValueError, match="path of length k >= 2, got k=1"):
+        check_theorem(5, c4, 1, config=HarnessConfig(budget=1, subdivided_cap=3))
+    with pytest.raises(ValueError, match="path of length k >= 2, got k=1"):
+        check_theorem(5, make_named("path", 30), 1)
+    # with no edge there is nothing to subdivide, so no k is checked
+    k1 = check_theorem(5, make_named("path", 1), 1)
+    assert isinstance(k1, SkippedCheck) and k1.reason == "no edges"
+
+
+def test_only_theorem5_applies_its_operation_to_the_canonical_form():
+    assert [t for t, spec in harness._SPECS.items() if spec.canonical] == [5]
 
 
 def test_theorem6_takes_a_vertex_sequence_as_a_cycle():
@@ -313,7 +325,7 @@ def test_theorem5_solves_of_canonical_forms_match_the_labeled_sweep():
             if g.m == 0:
                 assert chk.reason == "no edges"
                 continue
-            assert chk.chi_after == chi_dd_exact(subdivide(g, k)[0]).chi_dd
+            assert chk.chi_after == chi_dd_exact(subdivide(g, k)).chi_dd
             checked += 1
     assert checked == 1785
 

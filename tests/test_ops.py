@@ -6,6 +6,7 @@ from domchrom import cli, harness, ops, witnesses
 from domchrom.coloring import Coloring
 from domchrom.graph import (
     CycleSpec,
+    Graph,
     enumerate_connected_graphs,
     from_edges,
     is_connected,
@@ -21,6 +22,7 @@ from domchrom.ops import (
     remove_edge,
     remove_vertex,
     subdivide,
+    superedges,
 )
 
 
@@ -79,8 +81,8 @@ def test_contract_vertices_examples():
 
 def test_index_maps():
     assert removal_index_map(4, 1) == (0, None, 1, 2)
-    assert contraction_index_map(4, 1, 3) == (0, 1, 2, 1)
-    assert contraction_index_map(4, 3, 1) == (0, 1, 2, 1)
+    assert contraction_index_map(4, (1, 3)) == (0, 1, 2, 1)
+    assert contraction_index_map(4, (3, 1)) == (0, 1, 2, 1)
 
 
 def _through(g, vmap):
@@ -115,45 +117,73 @@ def test_operations_preserve_connectedness():
 
     for n in range(2, 6):
         for g in enumerate_connected_graphs(n):
-            assert is_connected(subdivide(g, 3)[0])
+            assert is_connected(subdivide(g, 3))
             if n >= 3:
                 for cyc in enumerate_cycles(g, n):
                     assert is_connected(cycle_extend(g, cyc))
 
 
 def test_subdivide_examples():
-    p4, smap = subdivide(make_named("complete", 2), 3)
+    p4 = subdivide(make_named("complete", 2), 3)
     assert p4 == from_edges(4, [(0, 2), (2, 3), (3, 1)])
-    assert smap.superedges == {(0, 1): (0, 2, 3, 1)}
-    c6, _ = subdivide(make_named("cycle", 3), 2)
+    assert superedges(make_named("complete", 2), 3) == {(0, 1): (0, 2, 3, 1)}
+    c6 = subdivide(make_named("cycle", 3), 2)
     assert c6.n == 6 and c6.m == 6
     assert all(c6.degree(v) == 2 for v in range(6))
     with pytest.raises(ValueError):
         subdivide(make_named("path", 3), 0)
+    with pytest.raises(ValueError):
+        superedges(make_named("path", 3), 0)
 
 
 def test_subdivide_identity_at_k1():
     for n in range(1, 6):
         for g in enumerate_connected_graphs(n):
-            s, smap = subdivide(g, 1)
-            assert s == g
-            assert smap.internal_vertices() == set()
+            assert subdivide(g, 1) == g
+            assert superedges(g, 1) == {e: e for e in g.edges()}  # no internal vertex
 
 
 def test_subdivide_order_size_and_internal_degrees():
     for n in range(2, 6):
         for g in enumerate_connected_graphs(n):
             for k in (2, 3, 4):
-                s, smap = subdivide(g, k)
+                s = subdivide(g, k)
                 assert s.n == g.n + g.m * (k - 1)
                 assert s.m == g.m * k
-                for x in smap.internal_vertices():
+                for x in range(g.n, s.n):
                     assert s.degree(x) == 2
-                for (u, v), path in smap.superedges.items():
+                for (u, v), path in superedges(g, k).items():
                     assert path[0] == u and path[-1] == v
                     assert len(path) == k + 1
                     for a, b in zip(path, path[1:]):
                         assert s.has_edge(a, b)
+
+
+def test_superedge_paths_are_the_subdivision():
+    # the paths' edges are exactly S(G,k)'s, and every internal vertex has degree 2
+    for n in range(1, 6):
+        for g in enumerate_connected_graphs(n):
+            for k in (1, 2, 3, 4):
+                s = subdivide(g, k)
+                paths = superedges(g, k)
+                assert list(paths) == g.edges()
+                walked = sorted((min(a, b), max(a, b)) for path in paths.values() for a, b in zip(path, path[1:]))
+                assert walked == s.edges()
+                internal = [x for path in paths.values() for x in path[1:-1]]
+                assert sorted(internal) == list(range(g.n, s.n))
+                assert all(s.degree(x) == 2 for x in internal)
+
+
+def test_every_operation_returns_a_graph_and_maps_each_vertex():
+    config = harness.HarnessConfig()
+    theorem_of = {spec.operation: t for t, spec in harness._SPECS.items()}
+    assert set(theorem_of) == set(OPERATIONS)
+    for n in range(2, 5):
+        for g in enumerate_connected_graphs(n):
+            for name, op in OPERATIONS.items():
+                for param in harness.theorem_instances(theorem_of[name], g, config):
+                    assert type(getattr(ops, name)(g, param)) is Graph, (name, param)
+                    assert len(op.vertex_map(g.n, param)) == g.n, (name, param)
 
 
 def test_cycle_extend_examples():

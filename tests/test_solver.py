@@ -213,7 +213,7 @@ def _bounds_corpus():
     for n in range(2, 5):
         for g in enumerate_connected_graphs(n):
             if n + g.m <= 8:
-                yield subdivide(g, 2)[0]
+                yield subdivide(g, 2)
 
 
 def test_bounds_prune_only_dead_branches():
@@ -262,7 +262,7 @@ def test_search_tree_is_pinned(name, size):
     if name in ("path", "cycle"):
         g = make_named(name, size)
     else:  # the size-k subdivision of a graph6 graph's canonical form
-        g = subdivide(canonical_form(parse_graph6(name)), size)[0]
+        g = subdivide(canonical_form(parse_graph6(name)), size)
     result = chi_dd_exact(g)
     assert (result.chi_dd, result.nodes, result.witness.to_text()) == _PINNED_SOLVES[name, size]
 
@@ -293,7 +293,7 @@ def test_packing_memo_leaves_every_solve_unchanged(monkeypatch):
             if g.m <= 6:
                 c = canonical_form(g)
                 classes.setdefault(c.adj, c)
-    subdivisions = [canonical_form(subdivide(c, k)[0]) for c in classes.values() for k in (2, 3, 4)]
+    subdivisions = [canonical_form(subdivide(c, k)) for c in classes.values() for k in (2, 3, 4)]
     assert len(classes) == 41
     budgets = (1, 3, 7, 20, solver.DEFAULT_BUDGET)
     with_memo = _solve_outcomes(small, budgets), _solve_outcomes(subdivisions, [solver.DEFAULT_BUDGET])
