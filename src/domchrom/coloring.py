@@ -27,22 +27,26 @@ class Coloring:
     __slots__ = ("assignment", "class_count", "classes", "_judged")
 
     def __init__(self, assignment: Iterable[int]):
-        values = tuple(assignment)
-        if not values:
-            raise ValueError("coloring needs at least one vertex")
+        # one pass: renumber each color and add its vertex's bit to the class
         remap: dict[int, int] = {}
         dense = []
-        for x in values:
-            if x < 0:
-                raise ValueError(f"negative color {x} rejected")
-            if x not in remap:
-                remap[x] = len(remap)
-            dense.append(remap[x])
+        masks = []
+        bit = 1
+        for x in assignment:
+            c = remap.get(x)
+            if c is None:  # the color's first vertex: its one sign check
+                if x < 0:
+                    raise ValueError(f"negative color {x} rejected")
+                c = remap[x] = len(masks)
+                masks.append(bit)
+            else:
+                masks[c] |= bit
+            dense.append(c)
+            bit <<= 1
+        if not dense:
+            raise ValueError("coloring needs at least one vertex")
         self.assignment = tuple(dense)
-        self.class_count = len(remap)
-        masks = [0] * self.class_count
-        for v, c in enumerate(dense):
-            masks[c] |= 1 << v
+        self.class_count = len(masks)
         self.classes = tuple(masks)
         self._judged: tuple[tuple[int, ...], tuple[int, ...], DominationDiagnostic] | None = None
 

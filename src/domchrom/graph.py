@@ -591,24 +591,32 @@ def enumerate_cycles(g: Graph, max_len: int) -> list[CycleSpec]:
 
     for s in range(g.n):
         above = -1 << (s + 1)  # vertices strictly greater than s
-
-        def extend(used: int) -> None:
-            u = path[-1]
-            if len(path) >= 3 and (adj[u] >> s) & 1 and path[1] < u:
-                out.append(CycleSpec(tuple(path)))
-            if len(path) == max_len:
-                return
-            rest = adj[u] & above & ~used
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                path.append(low.bit_length() - 1)
-                extend(used | low)
-                path.pop()
-
+        sbit = 1 << s
         for v1 in iter_bits(adj[s] & above):
+            # A depth-first walk of the simple paths s, v1, ... through
+            # vertices above s, with an explicit stack so a long cycle cannot
+            # exhaust the interpreter's: rests[i] holds the unexplored
+            # extensions of path[i + 1], taken lowest first.
             path = [s, v1]
-            extend((1 << s) | (1 << v1))
+            used = sbit | (1 << v1)
+            rests = [adj[v1] & above & ~used]
+            while rests:
+                rest = rests[-1]
+                if not rest:  # path[-1] is finished
+                    rests.pop()
+                    used ^= 1 << path.pop()
+                    continue
+                low = rest & -rest
+                rests[-1] = rest ^ low
+                u = low.bit_length() - 1
+                path.append(u)
+                if adj[u] & sbit and v1 < u:
+                    out.append(CycleSpec(tuple(path)))
+                if len(path) < max_len:
+                    used |= low
+                    rests.append(adj[u] & above & ~used)
+                else:
+                    path.pop()
     return out
 
 

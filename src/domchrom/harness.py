@@ -101,8 +101,7 @@ class HarnessConfig:
             raise ValueError(f"cycle_cap must be at least 3, got {self.cycle_cap}")
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
+class TheoremCheck(NamedTuple):
     """One verified inequality instance; holds <=> lower <= chi_after <= upper."""
 
     theorem: int
@@ -118,8 +117,7 @@ class TheoremCheck:
     reduce_case: str | None = None
 
 
-@dataclass(frozen=True)
-class SkippedCheck:
+class SkippedCheck(NamedTuple):
     theorem: int
     graph6: str
     instance: str
@@ -438,7 +436,7 @@ class CorpusReport:
             "config": asdict(self.config),
             "graphs": self.graphs,
             "per_theorem": per_theorem,
-            "violations": [asdict(v) for v in self.all_violations()],
+            "violations": [v._asdict() for v in self.all_violations()],
             "summary": {
                 "violations": self.violation_count,
                 "unknowns": self.unknown_count,

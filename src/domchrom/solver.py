@@ -52,7 +52,7 @@ oracle returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
 from functools import lru_cache, reduce
 from itertools import accumulate
 from operator import or_
@@ -74,8 +74,7 @@ class BudgetExceeded(Exception):
         self.nodes = nodes
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Outcome of an exact solve; ``status`` is ``exact`` or ``unknown``.
 
     For ``unknown`` results ``chi_dd``/``witness`` are None and
@@ -238,7 +237,12 @@ def _search(plan: _Plan, k: int, budget: int) -> tuple[tuple[int, ...] | None, i
 
         return False
 
-    found = rec(0, 0, 0)
+    try:
+        found = rec(0, 0, 0)
+    except RecursionError:  # rec nests once per placed vertex
+        raise ValueError(
+            f"search on a graph of order {n} nests deeper than the recursion limit {sys.getrecursionlimit()}"
+        ) from None
     return (tuple(assignment) if found else None, nodes)
 
 

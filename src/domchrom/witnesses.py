@@ -96,8 +96,7 @@ class GapReport:
     budget: int
 
 
-@dataclass(frozen=True)
-class WitnessOutcome:
+class WitnessOutcome(NamedTuple):
     status: str  # "validated" | "gap"
     coloring: Coloring
     colors_used: int

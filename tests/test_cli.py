@@ -221,6 +221,24 @@ def test_verify_reports_a_violation_and_exits_1(tmp_path):
     assert [(v["graph6"], v["instance"]) for v in payload["violations"]] == [("G@?I\\c", "e=6-7")]
 
 
+def test_verify_payload_with_violations_is_the_same_for_one_or_two_workers(tmp_path):
+    # the two n=8 counterexamples to theorems 3 and 4 (see test_harness); with
+    # two workers their violations come back from the pool pickled
+    corpus = tmp_path / "viol.g6"
+    corpus.write_text("G@?I\\c\nGGE?~?\n")
+    payloads = []
+    for workers in ("1", "2"):
+        argv = ["verify", "--input", str(corpus), "--theorems", "3,4", "--format", "json", "--workers", workers]
+        code, out, _ = run_cli(argv)
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["config"].pop("workers") == int(workers)
+        payloads.append(payload)
+    assert payloads[0] == payloads[1]
+    assert payloads[0]["summary"]["violations"] == len(payloads[0]["violations"]) > 0
+    assert {v["graph6"] for v in payloads[0]["violations"]} == {"G@?I\\c", "GGE?~?"}
+
+
 def test_verify_usage_errors():
     code, _, err = run_cli(["verify", "--theorems", "1"])
     assert code == 2  # no corpus source
@@ -313,6 +331,14 @@ def test_usage_error_on_unknown_flag():
     code, _, _ = run_cli(["solve", C4, "--mystery"])
     assert code == 2
 
+
+
+def test_solve_deeper_than_the_recursion_limit_is_an_error_line():
+    code, out, err = run_cli(["solve", to_graph6(make_named("complete", 1100))])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("domchrom: error: search on a graph of order 1100 ")
+    assert err.count("\n") == 1
 
 def test_gen_solve_pipeline_matches_oracle_n5():
     code, gen_out, _ = run_cli(["gen", "5"])

@@ -22,6 +22,35 @@ def test_coloring_normalizes_gaps():
     assert c.classes == (0b0001, 0b0110, 0b1000)
 
 
+def _first_appearance(values):
+    remap = {}
+    return tuple(remap.setdefault(x, len(remap)) for x in values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=12),
+    st.sampled_from([list, tuple, iter]),
+)
+def test_coloring_renumbers_any_iterable_by_first_appearance(values, kind):
+    c = Coloring(kind(values))
+    dense = _first_appearance(values)
+    assert c.assignment == dense
+    assert c.class_count == len(set(values))
+    assert c.classes == tuple(
+        sum(1 << v for v, i in enumerate(dense) if i == cls) for cls in range(c.class_count)
+    )
+
+
+def test_coloring_rejects_empty_and_names_the_first_negative_color():
+    for empty in ([], (), iter(())):
+        with pytest.raises(ValueError, match="^coloring needs at least one vertex$"):
+            Coloring(empty)
+    for values in ([0, -3, 2, -1], (1, 1, -3, -1), iter([5, -3, -1])):
+        with pytest.raises(ValueError, match="^negative color -3 rejected$"):
+            Coloring(values)
+
+
 def test_coloring_text_round_trip():
     c = Coloring.from_text("0,1,0,1")
     assert c.to_text() == "0,1,0,1"

@@ -435,6 +435,47 @@ def test_enumerate_cycles_brute_force_cross_check():
         assert len(enumerate_cycles(g, 5)) == len(seen)
 
 
+# Every cycle enumerate_cycles reports, as vertex digits in report order, per max_len.
+_CYCLE_ORDERS = {
+    "K5": (make_named("complete", 5), {
+        3: "012 013 014 023 024 034 123 124 134 234",
+        4: "012 0123 0124 013 0132 0134 014 0142 0143 0213 0214 023 0234 024 0243 0314 0324 034 123 1234 124 "
+           "1243 1324 134 234",
+        5: "012 0123 01234 0124 01243 013 0132 01324 0134 01342 014 0142 01423 0143 01432 0213 02134 0214 "
+           "02143 023 02314 0234 024 02413 0243 03124 0314 03214 0324 034 123 1234 124 1243 1324 134 234",
+    }),
+    # hub 0 on the rim 1-2-3-4-5
+    "wheel": (from_edges(6, [(0, i) for i in range(1, 6)] + [(i, i % 5 + 1) for i in range(1, 6)]), {
+        3: "012 015 023 034 045",
+        4: "012 0123 015 0154 0215 023 0234 034 0345 045",
+        5: "012 0123 01234 015 0154 01543 0215 02154 023 0234 02345 03215 034 0345 045 12345",
+        6: "012 0123 01234 012345 015 0154 01543 015432 0215 02154 021543 023 0234 02345 03215 032154 034 "
+           "0345 043215 045 12345",
+    }),
+    # K_{3,3} with sides {0, 2, 4} and {1, 3, 5}
+    "K33": (from_edges(6, [(a, b) for a in (0, 2, 4) for b in (1, 3, 5)]), {
+        3: "",
+        4: "0123 0125 0143 0145 0325 0345 1234 1254 2345",
+        5: "0123 0125 0143 0145 0325 0345 1234 1254 2345",
+        6: "0123 012345 0125 012543 0143 014325 0145 014523 032145 0325 034125 0345 1234 1254 2345",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CYCLE_ORDERS))
+def test_enumerate_cycles_order_is_pinned(name):
+    g, by_len = _CYCLE_ORDERS[name]
+    assert sorted(by_len) == list(range(3, g.n + 1))
+    for max_len, text in by_len.items():
+        expected = [tuple(int(ch) for ch in word) for word in text.split()]
+        assert [c.vertices for c in enumerate_cycles(g, max_len)] == expected, max_len
+
+
+
+def test_enumerate_cycles_walks_a_cycle_longer_than_the_recursion_limit():
+    found = enumerate_cycles(make_named("cycle", 1100), 1100)
+    assert [c.vertices for c in found] == [tuple(range(1100))]
+
 def test_cycle_spec_validation():
     with pytest.raises(ValueError):
         CycleSpec((0, 1))

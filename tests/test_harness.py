@@ -1,8 +1,10 @@
+import pickle
 import random
 
 import pytest
 
 from domchrom import harness
+from domchrom.coloring import Coloring, is_domination_coloring
 from domchrom.graph import CycleSpec, enumerate_connected_graphs, from_edges, make_named, parse_graph6, to_graph6
 from domchrom.harness import (
     GAP_EXAMPLE_CAP,
@@ -18,6 +20,7 @@ from domchrom.harness import (
 )
 from domchrom.ops import contract_edge, contract_vertices, subdivide
 from domchrom.solver import chi_dd_exact, chi_dd_oracle
+from domchrom.witnesses import GapReport, WitnessOutcome, extend_witness
 
 
 def test_check_theorem_1_example():
@@ -383,3 +386,28 @@ def test_report_does_not_depend_on_earlier_runs():
     c6 = make_named("cycle", 6)
     assert isinstance(check_theorem(1, c6, 0), TheoremCheck)
     assert isinstance(check_theorem(1, c6, 0, config=HarnessConfig(budget=1)), SkippedCheck)
+
+
+def _records():
+    c4 = make_named("cycle", 4)
+    bad = Coloring([0, 0, 1, 1])
+    gap = GapReport("definition", is_domination_coloring(c4, bad)[1], 2)
+    return {
+        "TheoremCheck": (check_theorem(1, c4, 0), "holds"),
+        "SkippedCheck": (check_theorem(1, make_named("path", 3), 1), "reason"),
+        "WitnessOutcome": (WitnessOutcome("gap", bad, 2, "case1", gap), "status"),
+        "WitnessOutcome validated": (extend_witness("cycle_extend", c4, (0, 1, 2, 3), chi_dd_exact(c4).witness), "coloring"),
+        "SolveResult": (chi_dd_exact(c4), "chi_dd"),
+        "SolveResult unknown": (chi_dd_exact(c4, budget=1), "status"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_records()))
+def test_result_records_are_frozen_and_pickle(name):
+    record, field_name = _records()[name]
+    assert type(record).__name__ == name.split()[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field_name, None)
+    copy = pickle.loads(pickle.dumps(record))
+    assert copy == record and type(copy) is type(record)
+

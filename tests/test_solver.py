@@ -353,6 +353,19 @@ def test_solver_rejects_disconnected():
         chi_dd_exact(from_edges(4, [(0, 1), (2, 3)]))
 
 
+
+def test_search_deeper_than_the_recursion_limit_is_a_value_error():
+    # the search nests one frame per placed vertex, and K_n is searched at k = n
+    k500 = make_named("complete", 500)
+    assert chi_dd_exact(k500).chi_dd == 500
+    assert find_domination_coloring(k500, 500).class_count == 500
+    k1100 = make_named("complete", 1100)
+    for solve in (lambda: chi_dd_exact(k1100), lambda: find_domination_coloring(k1100, 1100)):
+        with pytest.raises(ValueError) as exc:
+            solve()
+        assert "order 1100" in str(exc.value)
+        assert f"recursion limit {sys.getrecursionlimit()}" in str(exc.value)
+
 _PLANTED_FAULTS = '''
 import sys
 
