@@ -181,14 +181,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    @property
-    def max_degree(self) -> int:
-        return max(mask.bit_count() for mask in self.adj)
-
-    @property
-    def min_degree(self) -> int:
-        return min(mask.bit_count() for mask in self.adj)
-
     def has_edge(self, u: int, v: int) -> bool:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise ValueError(f"vertex pair ({u},{v}) out of range for order {self.n}")

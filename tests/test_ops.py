@@ -178,12 +178,22 @@ def test_every_operation_returns_a_graph_and_maps_each_vertex():
     config = harness.HarnessConfig()
     theorem_of = {spec.operation: t for t, spec in harness._SPECS.items()}
     assert set(theorem_of) == set(OPERATIONS)
+    contractions = ("contract_edge", "contract_vertices")
     for n in range(2, 5):
         for g in enumerate_connected_graphs(n):
             for name, op in OPERATIONS.items():
                 for param in harness.theorem_instances(theorem_of[name], g, config):
                     assert type(getattr(ops, name)(g, param)) is Graph, (name, param)
-                    assert len(op.vertex_map(g.n, param)) == g.n, (name, param)
+                    vmap = op.vertex_map(g.n, param)
+                    assert len(vmap) == g.n, (name, param)
+                    if name.startswith("contract_"):
+                        # uncontract carries colors across whichever contraction G's pair takes
+                        assert all(vmap == OPERATIONS[c].vertex_map(g.n, param) for c in contractions), param
+    # so a witness kind's operation, switched on an edge for uncontract, is the theorem's
+    for theorem, spec in harness._SPECS.items():
+        for kind in spec.witnesses or ():
+            expected = "contract_vertices" if (theorem, kind) == (3, "uncontract") else spec.operation
+            assert witnesses.WITNESS_KINDS[kind].operation == expected, (theorem, kind)
 
 
 def test_cycle_extend_examples():

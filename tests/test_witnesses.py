@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from domchrom import ops
@@ -265,10 +267,9 @@ def _malformed(g):
     return cases
 
 
-def test_witnesses_given_h_match_witnesses_that_build_it():
-    # The harness hands each witness the H it built; a witness that builds
-    # H itself must give the same outcome, and reject the same params.
-    config = HarnessConfig()
+def _base_colorings():
+    """A function giving each graph a domination coloring: a minimum one,
+    solved once per graph, or all singletons when the graph is disconnected."""
     solved = {}
 
     def base_of(graph):
@@ -278,6 +279,15 @@ def test_witnesses_given_h_match_witnesses_that_build_it():
         if key not in solved:
             solved[key] = chi_dd_exact(graph).witness
         return solved[key]
+
+    return base_of
+
+
+def test_witnesses_given_h_match_witnesses_that_build_it():
+    # The harness hands each witness the H it built; a witness that builds
+    # H itself must give the same outcome, and reject the same params.
+    config = HarnessConfig()
+    base_of = _base_colorings()
 
     compared = 0
     for n in range(1, 6):
@@ -303,3 +313,55 @@ def test_witnesses_given_h_match_witnesses_that_build_it():
                 assert isinstance(built, str), (to_graph6(g), kind, params)
                 assert _result(witness, kind, g, params, base, h=g) == built
     assert compared > 30000
+
+
+def _outcome_line(g6, theorem, kind, label, result):
+    """One text line per witness outcome, or the message of its ValueError."""
+    if isinstance(result, str):
+        return f"{g6} {theorem} {kind} {label} {result}"
+    gap = result.gap_report
+    tail = "- -" if gap is None else f"{gap.reason} {gap.budget}"
+    return (
+        f"{g6} {theorem} {kind} {label} {result.status} {result.case} "
+        f"{result.colors_used} {result.coloring.to_text()} {tail}"
+    )
+
+
+def test_witness_outcomes_digest_n5():
+    # Every witness outcome or error over theorems 1-4 and 6 on n <= 5,
+    # given the H the harness builds, hashed into one digest: a change to
+    # the witnesses that keeps behaviour keeps both the count and the hash.
+    config = HarnessConfig()
+    base_of = _base_colorings()
+
+    digest = hashlib.sha256()
+    lines = outcomes = 0
+    for n in range(1, 6):
+        for g in enumerate_connected_graphs(n):
+            g6 = to_graph6(g)
+            for theorem in (1, 2, 3, 4, 6):
+                spec = _SPECS[theorem]
+                op = ops.OPERATIONS[spec.operation]
+                for instance in theorem_instances(theorem, g, config):
+                    try:
+                        h = getattr(ops, spec.operation)(g, instance)
+                    except ValueError:
+                        h = g
+                    base = {"G": base_of(g), "H": base_of(h)}
+                    for witness, kind in zip((extend_witness, reduce_witness), spec.witnesses):
+                        result = _result(witness, kind, g, instance, base[WITNESS_KINDS[kind].base], h=h)
+                        line = _outcome_line(g6, theorem, kind, op.label(instance), result)
+                        digest.update(line.encode() + b"\n")
+                        lines += 1
+                        outcomes += not isinstance(result, str)
+    assert (lines, outcomes) == (36134, 34232)  # 1,902 lines are errors
+    assert digest.hexdigest() == "c14700f5784b5e183c8ef78e6d1e134a925723d91fb2dbcf600010a89d833beb"
+
+
+def test_hypothesis_errors_come_before_base_errors():
+    p3 = make_named("path", 3)
+    improper = Coloring([0, 0, 0])
+    with pytest.raises(ValueError, match=r"^vertex 1 is a cut vertex; theorem hypothesis fails$"):
+        reduce_witness("remove_vertex", p3, 1, improper)
+    with pytest.raises(ValueError, match=r"^\(0,1\) is a bridge; theorem hypothesis fails$"):
+        reduce_witness("remove_edge", p3, (1, 0), improper)
