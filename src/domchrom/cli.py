@@ -82,12 +82,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify theorem inequalities over a corpus")
     add_common(p, graph_arg=False)
+    defaults = HarnessConfig()
     p.add_argument("--n-max", type=int, help="use all connected graphs up to this order")
-    p.add_argument("--theorems", default="1,2,3,4,5,6")
-    p.add_argument("--k-range", default="2,4", help="theorem 5 subdivision lengths LO,HI")
-    p.add_argument("--cycle-cap", type=int, default=6)
-    p.add_argument("--subdivided-cap", type=int, default=24)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--theorems", default=",".join(map(str, defaults.theorems)))
+    p.add_argument(
+        "--k-range", default=f"{min(defaults.k_values)},{max(defaults.k_values)}",
+        help="theorem 5 subdivision lengths LO,HI",
+    )
+    p.add_argument("--cycle-cap", type=int, default=defaults.cycle_cap)
+    p.add_argument("--subdivided-cap", type=int, default=defaults.subdivided_cap)
+    p.add_argument("--workers", type=int, default=defaults.workers)
     p.add_argument("--budget", type=int)
     p.add_argument("--no-witnesses", action="store_true")
 

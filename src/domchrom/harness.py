@@ -90,6 +90,10 @@ class HarnessConfig:
         # instances twice.
         if not self.k_values:
             raise ValueError("k_values is empty; theorem 5 would check no subdivision")
+        subdivide_op = OPERATIONS["subdivide"]
+        for k in self.k_values:
+            if subdivide_op.read(k) is None:
+                raise ValueError(f"k_values: theorem 5 takes {subdivide_op.shape}, got {k!r}")
         if min(self.k_values) < 2:
             raise ValueError(f"k_values must be at least 2, got {','.join(map(str, self.k_values))}")
         if len(set(self.k_values)) != len(self.k_values):
@@ -236,6 +240,8 @@ def _require_connected(g: Graph) -> None:
 
 
 def _spec(theorem: int) -> _Spec:
+    if type(theorem) is not int:  # True and 1.0 would find theorem 1 and be reported as "True", "1.0"
+        raise ValueError(f"theorem id must be an int, got {theorem!r}")
     spec = _SPECS.get(theorem)
     if spec is None:
         raise ValueError(f"unknown theorem id {theorem}; expected 1..6")
@@ -488,29 +494,24 @@ class CorpusReport:
 # -- corpus runs ------------------------------------------------------
 
 
-def _check_graph(
-    g: Graph, config: HarnessConfig, cache: _SolveCache, stats: dict[int, TheoremStats]
-) -> None:
-    _require_connected(g)  # also for a graph no theorem has an instance on
-    for theorem in config.theorems:
-        for instance in theorem_instances(theorem, g, config):
-            stats[theorem].add(check_theorem(theorem, g, instance, config=config, cache=cache))
-
-
-# Set in each worker process by _init_worker; lives as long as the pool.
-_worker_cache: _SolveCache | None = None
-
-
-def _init_worker() -> None:
-    global _worker_cache
-    _worker_cache = {}
-
-
-def _process_graph(task: tuple[str, HarnessConfig]) -> dict[int, TheoremStats]:
-    g6, config = task
+def _check_graphs(graphs: Iterable[Graph], config: HarnessConfig) -> tuple[int, dict[int, TheoremStats]]:
+    """The one corpus loop: each graph, pulled when its turn comes, through one solve cache."""
+    cache: _SolveCache = {}
     stats = {t: TheoremStats() for t in config.theorems}
-    _check_graph(parse_graph6(g6), config, _worker_cache, stats)
-    return stats
+    count = 0
+    for g in graphs:
+        count += 1
+        _require_connected(g)  # also for a graph no theorem has an instance on
+        for theorem in config.theorems:
+            for instance in theorem_instances(theorem, g, config):
+                stats[theorem].add(check_theorem(theorem, g, instance, config=config, cache=cache))
+    return count, stats
+
+
+def _check_slice(task: tuple[list[str], HarnessConfig]) -> tuple[int, dict[int, TheoremStats]]:
+    """One worker's task: its slice of the corpus, as graph6 lines."""
+    g6s, config = task
+    return _check_graphs(map(parse_graph6, g6s), config)
 
 
 def run_corpus(
@@ -520,28 +521,29 @@ def run_corpus(
 ) -> CorpusReport:
     """Check every applicable (graph, theorem, instance) combination.
 
-    The report is independent of worker scheduling: the accumulator only
-    merges commutative counts, and all retained lists are sorted at the
-    end by (graph6, theorem, instance).  Solves are cached for this call
-    only (one cache per worker process), so a report never depends on
-    what ran before it.
+    With ``w > 1`` workers, worker ``i`` checks graphs ``i, i + w, ...``,
+    sent as graph6 once the parent has found every graph connected.  The
+    report does not depend on ``w``: the slices merge commutative counts,
+    and all retained lists are sorted at the end by (graph6, theorem,
+    instance).  Each worker solves through one cache for its slice only,
+    so a report never depends on what ran before it.
     """
     config = config or HarnessConfig()
     start = time.perf_counter()
-    stats = {t: TheoremStats() for t in config.theorems}
-    count = 0
-    if config.workers > 1:
-        tasks = [(to_graph6(g), config) for g in graphs]
-        with ProcessPoolExecutor(max_workers=config.workers, initializer=_init_worker) as pool:
-            for part in pool.map(_process_graph, tasks, chunksize=32):
-                count += 1
-                for t, s in part.items():
-                    stats[t].merge(s)
+    w = config.workers
+    if w == 1:
+        count, stats = _check_graphs(graphs, config)
     else:
-        cache: _SolveCache = {}
+        g6s = []
         for g in graphs:
-            count += 1
-            _check_graph(g, config, cache, stats)
+            _require_connected(g)
+            g6s.append(to_graph6(g))
+        with ProcessPoolExecutor(max_workers=w) as pool:
+            (count, stats), *parts = pool.map(_check_slice, [(g6s[i::w], config) for i in range(w)])
+        for part_count, part in parts:
+            count += part_count
+            for t, s in part.items():
+                stats[t].merge(s)
     for s in stats.values():
         s.finalize()
     return CorpusReport(

@@ -150,11 +150,15 @@ def subdivide(g: Graph, k: int) -> Graph:
     return Graph(len(masks), masks)
 
 
-def cycle_extend(g: Graph, c: CycleSpec) -> Graph:
-    """Add a hub adjacent to exactly the vertices of the cycle c."""
-    c.validate(g)
+def cycle_extend(g: Graph, c: CycleSpec | Sequence[int]) -> Graph:
+    """Add a hub adjacent to exactly the vertices of the cycle c, read as
+    :data:`OPERATIONS` reads it: a CycleSpec or its vertex sequence."""
+    cyc = _read_cycle(c)
+    if cyc is None:
+        raise ValueError(f"cycle_extend takes {OPERATIONS['cycle_extend'].shape}, got {c!r}")
+    cyc.validate(g)
     hub_mask = 0
-    for v in c.vertices:
+    for v in cyc.vertices:
         hub_mask |= 1 << v
     hub_bit = 1 << g.n
     masks = [
@@ -196,6 +200,10 @@ def _same_ids(n: int, param) -> range:
     return range(n)
 
 
+def _one_fewer(g: Graph, param) -> int:
+    return g.n - 1
+
+
 class Operation(NamedTuple):
     """One operation as its callers name, read and check it."""
 
@@ -206,26 +214,32 @@ class Operation(NamedTuple):
     label: Callable[[Any], str]  # a read parameter as reports name it
     validate: Callable[[Graph, Any], None]  # raise ValueError unless the operation accepts it
     vertex_map: Callable[[int, Any], Sequence]  # (G's order, param) -> G's vertex id -> H's, None if deleted
+    order: Callable[[Graph, Any], int]  # (G, param) -> H's order
     arity: int | None  # ints on the command line; None: any count (a cycle)
 
 
 OPERATIONS = {
     "remove_vertex": Operation(
-        _read_int, "a vertex (an int)", lambda v: f"v={v}", require_removable, removal_index_map, 1,
+        _read_int, "a vertex (an int)", lambda v: f"v={v}", require_removable, removal_index_map, _one_fewer, 1,
     ),
-    "remove_edge": Operation(_read_pair, "an edge (two vertex ints)", _edge_label, require_edge, _same_ids, 2),
+    "remove_edge": Operation(
+        _read_pair, "an edge (two vertex ints)", _edge_label, require_edge, _same_ids, lambda g, e: g.n, 2,
+    ),
     "contract_edge": Operation(
-        _read_pair, "an edge (two vertex ints)", _edge_label, require_contractible_edge, contraction_index_map, 2,
+        _read_pair, "an edge (two vertex ints)", _edge_label, require_contractible_edge, contraction_index_map,
+        _one_fewer, 2,
     ),
     "contract_vertices": Operation(
         _read_pair, "a vertex pair (two vertex ints)", lambda e: f"uv={e[0]}-{e[1]}",
-        require_contractible_pair, contraction_index_map, 2,
+        require_contractible_pair, contraction_index_map, _one_fewer, 2,
     ),
     "subdivide": Operation(
-        _read_int, "a path length k (an int)", lambda k: f"k={k}", require_path_length, _same_ids, 1,
+        _read_int, "a path length k (an int)", lambda k: f"k={k}", require_path_length, _same_ids,
+        lambda g, k: g.n + g.m * (k - 1), 1,
     ),
     "cycle_extend": Operation(
         _read_cycle, "a cycle (a CycleSpec or a sequence of vertex ints)",
-        lambda cyc: "C=" + "-".join(str(v) for v in cyc.vertices), lambda g, cyc: cyc.validate(g), _same_ids, None,
+        lambda cyc: "C=" + "-".join(str(v) for v in cyc.vertices), lambda g, cyc: cyc.validate(g), _same_ids,
+        lambda g, cyc: g.n + 1, None,
     ),
 }

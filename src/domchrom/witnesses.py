@@ -24,9 +24,10 @@ and its budget.
 
 Argument convention: ``g`` is always the theorem's graph G, and ``h`` is
 the graph H the kind's operation makes from G.  A caller that has built
-H already (the corpus harness) passes it; otherwise it is built from
-``g`` and ``params``.  Either way ``params`` are read by the operation's
-reader and validated against ``g``.
+H already (the corpus harness) passes it, and it must have the order the
+operation makes; otherwise it is built from ``g`` and ``params``.  Either
+way ``params`` are read by the operation's reader and validated against
+``g``.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ REDUCE_KINDS = tuple(kind for kind, w in WITNESS_KINDS.items() if not w.extend)
 
 def _operated(kind: str, g: Graph, params, h: Graph | None):
     """The operation that makes H, ``params`` read and validated against G,
-    and H: as given, or built from G."""
+    and H: as given (if of the order the operation makes), or built from G."""
     name = WITNESS_KINDS[kind].operation
     op = OPERATIONS[name]
     param = op.read(params)
@@ -79,11 +80,13 @@ def _operated(kind: str, g: Graph, params, h: Graph | None):
         raise ValueError(f"{kind} takes {op.shape}, got {params!r}")
     if kind == "uncontract" and g.has_edge(*param):
         name = "contract_edge"
-        if h is not None:
-            return name, param, h  # has_edge is contract_edge's whole validation
     if h is None:
         return name, param, globals()[name](g, param)  # this module's global: see the ops docstring
-    OPERATIONS[name].validate(g, param)
+    op = OPERATIONS[name]
+    op.validate(g, param)
+    order = op.order(g, param)
+    if h.n != order:
+        raise ValueError(f"{name} makes order {order} from G, but h has order {h.n}")
     return name, param, h
 
 

@@ -360,13 +360,15 @@ def test_solve_rejects_disconnected_graph():
 
 
 def test_verify_rejects_disconnected_input_graph():
-    # every theorem set, serial or in workers, refuses the graph by name
-    for theorems in ("5", "1"):
-        for workers in ("1", "2"):
-            argv = ["verify", "-i", "-", "--theorems", theorems, "--workers", workers]
-            code, out, err = run_cli(argv, stdin_text=f"{C4}\nB?\n")
-            assert (code, out) == (2, "")
-            assert err == "domchrom: error: graph B? is not connected; the theorems are about connected graphs\n"
+    # every theorem set, serial or in workers, refuses the first disconnected
+    # graph in input order by name (B_ and A? land in different workers' shares)
+    for stdin_text, first in ((f"{C4}\nB?\n", "B?"), (f"{C4}\nB_\nA?\n", "B_")):
+        for theorems in ("5", "1"):
+            for workers in ("1", "2", "3"):
+                argv = ["verify", "-i", "-", "--theorems", theorems, "--workers", workers]
+                code, out, err = run_cli(argv, stdin_text=stdin_text)
+                assert (code, out) == (2, "")
+                assert err == f"domchrom: error: graph {first} is not connected; the theorems are about connected graphs\n"
 
 
 def test_outputs_are_pure_functions_of_argv():

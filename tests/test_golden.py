@@ -10,6 +10,7 @@ rewrite every capture in ``tests/golden/cli``.
 """
 
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,19 @@ def test_verify_output_matches_golden(name, args):
     code = main(["verify", *args], stdout=out, stderr=io.StringIO())
     assert code == 0
     assert out.getvalue().encode("ascii") == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["2", "3"])
+def test_verify_n5_payload_does_not_depend_on_the_worker_count(workers):
+    # the serial payload is the capture itself.  Theorems 1-4 each find more
+    # gap examples of one case than the 20 a case keeps, so the cap applies
+    # to the examples merged from every worker
+    name, args = CASES[0]
+    out = io.StringIO()
+    code = main(["verify", *args, "--workers", workers], stdout=out, stderr=io.StringIO())
+    payload, golden = json.loads(out.getvalue()), json.loads((GOLDEN / name).read_text())
+    assert (code, payload["config"].pop("workers"), golden["config"].pop("workers")) == (0, int(workers), 1)
+    assert payload == golden
 
 
 @pytest.mark.parametrize("name,argv,stdin_text", CLI_CASES, ids=[name for name, _, _ in CLI_CASES])

@@ -1,5 +1,6 @@
 import pickle
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -260,6 +261,20 @@ def test_harness_config_rejects_bad_values():
         assert HarnessConfig(subdivided_cap=cap).subdivided_cap == cap
 
 
+def test_theorem_ids_and_k_values_must_be_ints():
+    # True == 1 and 1.0 == 1, so either would otherwise run theorem 1 and
+    # report it under another name
+    for theorem in (True, 1.0):
+        with pytest.raises(ValueError, match=f"^theorem id must be an int, got {theorem!r}$"):
+            HarnessConfig(theorems=(theorem,))
+        with pytest.raises(ValueError, match=f"^theorem id must be an int, got {theorem!r}$"):
+            check_theorem(theorem, make_named("cycle", 4), 0)
+    # refused before any theorem runs, not when theorem 5 reaches the k
+    for k in (2.5, True, "3"):
+        with pytest.raises(ValueError, match=rf"^k_values: theorem 5 takes a path length k \(an int\), got {k!r}$"):
+            HarnessConfig(k_values=(3, k))
+
+
 def test_report_determinism():
     cfg = HarnessConfig(theorems=(1, 2, 3))
     first = run_corpus(enumerate_connected_graphs(4), cfg, "n=4")
@@ -365,6 +380,17 @@ def test_workers_match_serial():
     a["config"].pop("workers")
     b["config"].pop("workers")
     assert a == b
+
+
+def test_more_workers_than_graphs_match_serial():
+    # a worker may get no graph at all, and a run may have no graph to check
+    cfg = HarnessConfig(theorems=(1, 2, 3, 4, 6))
+    for graphs, workers in (([make_named("cycle", 4), make_named("complete", 4)], 3), ([], 2)):
+        serial = run_corpus(graphs, cfg, "few").to_payload()
+        parallel = run_corpus(graphs, replace(cfg, workers=workers), "few").to_payload()
+        assert (serial["config"].pop("workers"), parallel["config"].pop("workers")) == (1, workers)
+        assert parallel == serial
+        assert serial["graphs"] == len(graphs)
 
 
 def test_tightness_recorded():

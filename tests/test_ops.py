@@ -183,7 +183,8 @@ def test_every_operation_returns_a_graph_and_maps_each_vertex():
         for g in enumerate_connected_graphs(n):
             for name, op in OPERATIONS.items():
                 for param in harness.theorem_instances(theorem_of[name], g, config):
-                    assert type(getattr(ops, name)(g, param)) is Graph, (name, param)
+                    h = getattr(ops, name)(g, param)
+                    assert type(h) is Graph and h.n == op.order(g, param), (name, param)
                     vmap = op.vertex_map(g.n, param)
                     assert len(vmap) == g.n, (name, param)
                     if name.startswith("contract_"):
@@ -205,6 +206,19 @@ def test_cycle_extend_examples():
     assert bigk4.n == 5 and bigk4.degree(4) == 3
     with pytest.raises(ValueError):
         cycle_extend(make_named("path", 4), CycleSpec((0, 1, 2)))
+
+
+def test_cycle_extend_reads_a_vertex_sequence_as_its_cycle():
+    c5 = make_named("cycle", 5)
+    wheel = cycle_extend(c5, CycleSpec((0, 1, 2, 3, 4)))
+    assert cycle_extend(c5, (0, 1, 2, 3, 4)) == cycle_extend(c5, [0, 1, 2, 3, 4]) == wheel
+    for bad in (5, None, (0, 1, 2.0, 3, 4), "01234"):
+        with pytest.raises(ValueError, match=r"^cycle_extend takes a cycle \(a CycleSpec or a sequence of vertex ints\)"):
+            cycle_extend(c5, bad)
+    with pytest.raises(ValueError, match="^cycle length must be at least 3$"):
+        cycle_extend(c5, (0, 1))
+    with pytest.raises(ValueError, match="^consecutive cycle vertices 1 and 3 are not adjacent$"):
+        cycle_extend(c5, [0, 1, 3])
 
 
 def test_cycle_extend_counts():

@@ -358,6 +358,22 @@ def test_witness_outcomes_digest_n5():
     assert digest.hexdigest() == "c14700f5784b5e183c8ef78e6d1e134a925723d91fb2dbcf600010a89d833beb"
 
 
+@pytest.mark.parametrize(
+    "witness, kind, params, h, message",
+    [
+        (extend_witness, "add_vertex", 0, make_named("path", 3), "remove_vertex makes order 4 from G, but h has order 3"),
+        (reduce_witness, "remove_vertex", 0, make_named("path", 6), "remove_vertex makes order 4 from G, but h has order 6"),
+        (extend_witness, "cycle_extend", (0, 1, 2, 3, 4), make_named("cycle", 5), "cycle_extend makes order 6 from G, but h has order 5"),
+    ],
+    ids=["add_vertex", "remove_vertex", "cycle_extend"],
+)
+def test_a_given_h_of_the_wrong_order_is_refused_before_any_color_is_carried(witness, kind, params, h, message):
+    c5 = make_named("cycle", 5)
+    base = chi_dd_exact(c5 if WITNESS_KINDS[kind].base == "G" else remove_vertex(c5, 0)).witness
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        witness(kind, c5, params, base, h=h)
+
+
 def test_hypothesis_errors_come_before_base_errors():
     p3 = make_named("path", 3)
     improper = Coloring([0, 0, 0])
