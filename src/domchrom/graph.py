@@ -414,9 +414,12 @@ def _relabeled(adj: Sequence[int], order: list[int]) -> tuple[int, ...]:
         bit[v] = 1 << i
     masks = []
     for v in order:
+        rest = adj[v]
         mask = 0
-        for u in iter_bits(adj[v]):
-            mask |= bit[u]
+        while rest:  # the lowest-bit loop, inline: iter_bits is a generator
+            low = rest & -rest
+            mask |= bit[low.bit_length() - 1]
+            rest ^= low
         masks.append(mask)
     return tuple(masks)
 

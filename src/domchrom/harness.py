@@ -16,8 +16,13 @@ not G itself: chi_dd(S(G,k)) depends only on G's isomorphism class and
 no witness reads S(G,k)'s labels, so isomorphic instances share one
 entry in the solve cache (keyed by adjacency tuple), and each theorem-5
 outcome, an unknown under a tight budget included, follows (class of G,
-k).  Theorems 1-4 and 6 keep labeled solves, because their witnesses
-start from a labeled chi_dd-coloring.
+k); that H is solved as it is.  Theorems 1-4 and 6, and theorem 5's G,
+keep labeled witnesses, because the witnesses start from a labeled
+chi_dd-coloring, but each labeled graph is solved once per search form
+(``solver.search_form``): a miss solves the form, whose search finds the
+same first coloring, and the form's witness is carried back to g,
+checked, and cached under g's adjacency.  A labeled outcome, an unknown
+under a tight budget included, thus follows g's search form.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Union
 
+from .coloring import Coloring, is_domination_coloring
 from .graph import (
     Graph,
     bridges,
@@ -56,6 +62,7 @@ from .solver import (
     chi_dd_exact,
     chi_dd_oracle,
     path_chi_dd,
+    search_form,
 )
 from .witnesses import WITNESS_KINDS, extend_witness, reduce_witness
 
@@ -73,6 +80,14 @@ class HarnessConfig:
     witnesses: bool = True
 
     def __post_init__(self):
+        # a bool is an int to isinstance and 2.5 compares like one, so either
+        # would run and be reported as given
+        for name in ("cycle_cap", "subdivided_cap", "budget", "workers"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if type(self.witnesses) is not bool:  # "no" is truthy: witnesses would run
+            raise ValueError(f"witnesses must be a bool, got {self.witnesses!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.budget < 1:
@@ -132,18 +147,40 @@ _UNKNOWN = "solver budget exhausted"
 
 
 # The solve cache of one run, keyed by adjacency tuple (``Graph.adj``), which
-# fixes the graph, its order included; only exact solves are kept.
+# fixes the graph, its order included; only exact solves are kept.  It holds
+# search forms (``solver.search_form``) and the labeled graphs whose solves
+# were carried back from them, and theorem 5's canonical H as they are.
 _SolveCache = dict[tuple[int, ...], SolveResult]
 
 
-def _solve_cached(g: Graph, budget: int, cache: _SolveCache) -> SolveResult:
+def _solve_cached(g: Graph, budget: int, cache: _SolveCache, labeled: bool = True) -> SolveResult:
+    """chi_dd of ``g`` through ``cache``.  A ``labeled`` miss is solved through
+    g's search form, whose witness is carried back to g and checked."""
     key = g.adj
     hit = cache.get(key)
     if hit is not None:
         return hit
-    result = chi_dd_exact(g, budget)
-    if result.status == "exact":
-        cache[key] = result
+    order, form = search_form(g) if labeled else (None, key)
+    if form is key:  # g is its own search form, or is not to be relabeled
+        result = chi_dd_exact(g, budget)
+        if result.status == "exact":
+            cache[key] = result
+        return result
+    result = cache.get(form)
+    if result is None:  # a cached form is never built as a Graph
+        result = chi_dd_exact(Graph(g.n, form), budget)
+        if result.status != "exact":
+            return result
+        cache[form] = result
+    colors = result.witness.assignment
+    carried = [0] * g.n
+    for i, v in enumerate(order):
+        carried[v] = colors[i]
+    witness = Coloring(carried)
+    ok, diag = is_domination_coloring(g, witness)
+    if not ok:
+        raise RuntimeError(f"search form's witness carried back to {to_graph6(g)} fails: {witness.to_text()} {diag}")
+    result = cache[key] = SolveResult(result.chi_dd, witness, "exact", result.lower, result.upper, result.nodes)
     return result
 
 
@@ -263,7 +300,9 @@ def check_theorem(
     operation's ValueError whatever the budget.
     ``cache`` is a solve cache keyed by adjacency tuple: it maps
     ``Graph.adj`` to exact solves and may be shared across calls; without
-    one, the call solves from scratch.
+    one, the call solves from scratch.  G, and H unless the theorem is
+    ``canonical``, are solved through their search forms, and the forms'
+    witnesses carried back (module docstring).
     """
     spec = _spec(theorem)
     _require_connected(g)
@@ -286,7 +325,7 @@ def check_theorem(
     before = _solve_cached(g, config.budget, cache)
     if before.status != "exact":
         return SkippedCheck(theorem, g6, label, _UNKNOWN)
-    after = _solve_cached(target, config.budget, cache)
+    after = _solve_cached(target, config.budget, cache, labeled=not spec.canonical)
     if after.status != "exact":
         return SkippedCheck(theorem, g6, label, _UNKNOWN)
     if theorem == 5 and target.n <= ORACLE_MAX_ORDER and after.chi_dd != chi_dd_oracle(target):

@@ -59,7 +59,7 @@ from operator import or_
 from typing import NamedTuple
 
 from .coloring import Coloring, is_domination_coloring
-from .graph import Graph, is_connected, make_named
+from .graph import Graph, _relabeled, is_connected, make_named
 
 DEFAULT_BUDGET = 10_000_000
 _PACKING_MEMO_CAP = 1 << 16  # entries one solve's packing memo may hold
@@ -95,6 +95,8 @@ def _require_connected(g: Graph) -> None:
 
 
 def _require_budget(budget: int) -> None:
+    if type(budget) is not int:  # True would search one node, 2.5 would compare as a count
+        raise ValueError(f"search budget must be an int node count, got {budget!r}")
     if budget < 1:
         raise ValueError(f"search budget must be at least 1 node, got {budget}")
 
@@ -102,6 +104,31 @@ def _require_budget(budget: int) -> None:
 def _search_order(g: Graph) -> list[int]:
     """The order in which the search assigns vertices: descending degree, then id."""
     return sorted(range(g.n), key=lambda v: (-g.adj[v].bit_count(), v))
+
+
+def search_form(g: Graph) -> tuple[list[int], tuple[int, ...]]:
+    """The search order of ``g`` and the adjacency masks of g's search form:
+    g relabeled so that vertex i is ``order[i]``, the i-th vertex the search
+    places (:func:`_search_order`).
+
+    The form's degrees fall with the id and ties keep g's order, so its
+    own search order is the identity and the form of a form is itself.
+    The search on g and on its form place the same vertices in the same
+    order and try the same classes in the same order; the only step that
+    reads vertex ids is the packing scan, which visits the uncovered
+    vertices by ascending id, and so may count a different packing and cut
+    different subtrees.  Every cut removes only subtrees that hold no
+    coloring, so both find the same first coloring at each k: the same
+    chi_dd, and the form's witness carried back (g's vertex ``order[i]``
+    takes the form's color at i) is g's own.  Only node counts differ, and
+    with them the outcome under a budget that one search fits and the other
+    does not.  For a graph that is already its own form the masks are
+    ``g.adj`` itself.
+    """
+    order = _search_order(g)
+    if order == list(range(g.n)):
+        return order, g.adj
+    return order, _relabeled(g.adj, order)
 
 
 class _Plan(NamedTuple):
@@ -266,8 +293,8 @@ def find_domination_coloring(
     """
     _require_connected(g)
     _require_budget(budget)
-    if not 1 <= k <= g.n:
-        raise ValueError(f"need 1 <= k <= {g.n}, got {k}")
+    if type(k) is not int or not 1 <= k <= g.n:
+        raise ValueError(f"need 1 <= k <= {g.n}, got {k!r}")
     assignment, _ = _search(_plan(g), k, budget)
     if assignment is None:
         return None

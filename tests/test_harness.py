@@ -6,7 +6,17 @@ import pytest
 
 from domchrom import harness
 from domchrom.coloring import Coloring, is_domination_coloring
-from domchrom.graph import CycleSpec, enumerate_connected_graphs, from_edges, make_named, parse_graph6, to_graph6
+from domchrom.graph import (
+    CycleSpec,
+    Graph,
+    canonical_form,
+    enumerate_connected_graphs,
+    from_edges,
+    is_connected,
+    make_named,
+    parse_graph6,
+    to_graph6,
+)
 from domchrom.harness import (
     GAP_EXAMPLE_CAP,
     CorpusReport,
@@ -20,7 +30,7 @@ from domchrom.harness import (
     theorem_instances,
 )
 from domchrom.ops import contract_edge, contract_vertices, subdivide
-from domchrom.solver import chi_dd_exact, chi_dd_oracle
+from domchrom.solver import DEFAULT_BUDGET, SolveResult, _search_order, chi_dd_exact, chi_dd_oracle, search_form
 from domchrom.witnesses import GapReport, WitnessOutcome, extend_witness
 
 
@@ -110,8 +120,9 @@ def test_check_theorem_rejects_bad_instance():
 
 
 def test_solve_cache_solves_each_distinct_graph_once(monkeypatch):
-    # the run's cache is keyed by adjacency tuple: every graph, G or H, is
-    # solved once however many instances meet it; the count is pinned
+    # a labeled graph is solved through its search form, theorem 5's
+    # canonical H as it is: each such graph is solved once however many
+    # labelings and instances meet it; the count is pinned
     solves = []
 
     def counting(g, budget):
@@ -121,7 +132,95 @@ def test_solve_cache_solves_each_distinct_graph_once(monkeypatch):
     monkeypatch.setattr(harness, "chi_dd_exact", counting)
     report = run_corpus(corpus_up_to(5), HarnessConfig())
     assert sum(s.instances for s in report.per_theorem.values()) == 18302
-    assert len(solves) == len(set(solves)) == 2937
+    assert len(solves) == len(set(solves)) == 256
+
+
+def _shuffled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _search_form_sets(blade_graph):
+    """The graphs on which search-form solves are checked against direct ones;
+    the named families come with one seeded relabeling each, since B(s) and
+    C_n are their own search forms."""
+    small = list(corpus_up_to(6))
+    classes = {}
+    for g in small:
+        if 2 <= g.n and g.m <= 6:
+            c = canonical_form(g)
+            classes.setdefault(c.adj, c)
+    rng = random.Random(5)
+    randoms = []
+    while len(randoms) < 400:
+        n = rng.randint(7, 12)
+        p = rng.uniform(0.2, 0.7)
+        g = from_edges(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p])
+        if is_connected(g):
+            randoms.append(g)
+    blades = [blade_graph(s, shared) for s in (2, 3, 4) for shared in (False, True)]
+    lines = [make_named(family, n) for family in ("path", "cycle") for n in range(9, 31)]
+    return {
+        "n<=6": small,
+        "criterion-4 subdivisions": [subdivide(c, k) for c in classes.values() for k in (2, 3, 4)],
+        "random 7<=n<=12": randoms,
+        "blades": blades + [_shuffled(g, rng) for g in blades],
+        "paths and cycles": lines + [_shuffled(g, rng) for g in lines],
+    }
+
+
+def test_search_form_solves_match_direct_solves(blade_graph):
+    # the search on g and on its search form finds the same first coloring
+    # at each k (solver.search_form): through the harness's cache, carried
+    # back, chi_dd and the witness are g's own on every graph of every set;
+    # the carry-back check raises, so this holds under python -O as well
+    sizes = {}
+    for name, graphs in _search_form_sets(blade_graph).items():
+        cache = {}
+        relabeled = 0
+        for g in graphs:
+            order, masks = search_form(g)
+            form = Graph(g.n, masks)
+            assert _search_order(form) == list(range(g.n))
+            assert search_form(form)[1] is form.adj
+            relabeled += masks != g.adj
+            via = harness._solve_cached(g, DEFAULT_BUDGET, cache)
+            direct = chi_dd_exact(g)
+            assert (via.status, via.chi_dd, via.witness) == ("exact", direct.chi_dd, direct.witness), (name, to_graph6(g))
+        assert relabeled > 0, name
+        sizes[name] = len(graphs)
+    assert sizes == {
+        "n<=6": 27476, "criterion-4 subdivisions": 123, "random 7<=n<=12": 400, "blades": 12, "paths and cycles": 88,
+    }
+
+
+def test_carried_back_witness_is_checked(monkeypatch):
+    # a form's witness that fails on g raises, never passes as g's
+    g = from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)])  # not its own search form
+    assert search_form(g)[1] != g.adj
+
+    def wrong(form, budget):
+        return SolveResult(2, Coloring([0, 0, 1, 1]), "exact", 2, 2, 1)
+
+    monkeypatch.setattr(harness, "chi_dd_exact", wrong)
+    with pytest.raises(RuntimeError, match="carried back"):
+        harness._solve_cached(g, DEFAULT_BUDGET, {})
+
+
+def test_tight_budget_outcomes_follow_the_search_form():
+    # a labeled graph's outcome is its search form's, so under a budget that
+    # leaves some instances unknown the payload is the same for any worker
+    # count and corpus order
+    config = HarnessConfig(theorems=(1, 2, 3, 4, 6), budget=8)
+    graphs = list(corpus_up_to(5))
+    serial = run_corpus(graphs, config).to_payload()
+    assert 0 < serial["summary"]["unknowns"] < sum(t["instances"] + t["unknowns"] for t in serial["per_theorem"].values())
+    assert run_corpus(graphs[::-1], config).to_payload() == serial
+    parallel = run_corpus(graphs, replace(config, workers=2)).to_payload()
+    assert parallel["config"].pop("workers") == 2
+    serial["config"].pop("workers")
+    assert parallel == serial
 
 
 def test_malformed_instance_raises_before_any_solve(monkeypatch):
@@ -273,6 +372,19 @@ def test_theorem_ids_and_k_values_must_be_ints():
     for k in (2.5, True, "3"):
         with pytest.raises(ValueError, match=rf"^k_values: theorem 5 takes a path length k \(an int\), got {k!r}$"):
             HarnessConfig(k_values=(3, k))
+
+
+def test_harness_config_int_fields_and_witnesses_must_have_their_types():
+    # a bool or a float would otherwise run and be reported as given, and
+    # workers=2.0 would pass here and fail in run_corpus
+    for name in ("cycle_cap", "subdivided_cap", "budget", "workers"):
+        for value in (True, 4.5, 10.5, 2.5, 2.0, "6"):
+            with pytest.raises(ValueError, match=f"^{name} must be an int, got {value!r}$"):
+                HarnessConfig(**{name: value})
+    for value in ("no", 0, 1, None):
+        with pytest.raises(ValueError, match=f"^witnesses must be a bool, got {value!r}$"):
+            HarnessConfig(witnesses=value)
+    assert HarnessConfig(witnesses=False, workers=2, budget=5).budget == 5
 
 
 def test_report_determinism():

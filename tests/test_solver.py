@@ -335,6 +335,21 @@ def test_budget_below_one_is_rejected():
     assert chi_dd_exact(c4, budget=1).status == "unknown"
 
 
+def test_budget_and_k_must_be_ints():
+    # True would read as a one-node budget or k=1, and 2.5 or 10**7 + 0.5
+    # would be compared as a node count
+    c5 = make_named("cycle", 5)
+    for budget in (True, 2.5, 10**7 + 0.5, "100"):
+        with pytest.raises(ValueError, match=f"^search budget must be an int node count, got {budget!r}$"):
+            chi_dd_exact(c5, budget=budget)
+        with pytest.raises(ValueError, match="search budget must be an int"):
+            find_domination_coloring(c5, 3, budget=budget)
+    for k in (True, 3.0, "3"):
+        with pytest.raises(ValueError, match=rf"^need 1 <= k <= 5, got {k!r}$"):
+            find_domination_coloring(c5, k)
+    assert find_domination_coloring(c5, 3) is not None
+
+
 def test_path_chi_dd_examples_and_memo():
     assert path_chi_dd(1) == 1
     assert path_chi_dd(2) == 2
