@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 
@@ -63,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute chi_dd with a witness coloring")
     add_common(p)
-    p.add_argument("--budget", type=int, help="search node budget")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node budget")
 
     p = sub.add_parser("check", help="validate a coloring against the definition")
     add_common(p)
@@ -92,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycle-cap", type=int, default=defaults.cycle_cap)
     p.add_argument("--subdivided-cap", type=int, default=defaults.subdivided_cap)
     p.add_argument("--workers", type=int, default=defaults.workers)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, default=defaults.budget)
     p.add_argument("--no-witnesses", action="store_true")
 
     p = sub.add_parser("gen", help="stream all connected graphs of one order")
@@ -104,19 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_budget(args) -> int:
-    budget, source = getattr(args, "budget", None), "--budget"
-    if budget is None:
-        env = os.environ.get("DOMCHROM_BUDGET")
-        if env is None:
-            return DEFAULT_BUDGET
-        source = "DOMCHROM_BUDGET"
-        try:
-            budget = int(env)
-        except ValueError:
-            raise _UsageError(f"DOMCHROM_BUDGET is not an integer: {env!r}") from None
-    if budget < 1:
-        raise _UsageError(f"{source} must be a positive node count, got {budget}")
-    return budget
+    if args.budget < 1:
+        raise _UsageError(f"--budget must be a positive node count, got {args.budget}")
+    return args.budget
 
 
 def _read_graphs(args, stdin) -> list[tuple[str, Graph]]:

@@ -66,7 +66,7 @@ class _Kernel(NamedTuple):
     own: tuple[int, ...]  # each vertex's own bit, which closes its neighbourhood
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: Graph(3.0, ...) must fail as before, cached 3 or not
+@lru_cache(maxsize=None)
 def _order_kernel(n: int) -> _Kernel:
     """The kernel for order ``n``.  Its matrix width is a power of two, at
     least 8 and at least n; a simple graph has no bit in a column >= n and
@@ -136,15 +136,23 @@ def _checked_degree_sum(n: int, masks: tuple) -> int:
     return degree_sum
 
 
+def _require_int(value, what: str) -> None:
+    """Raise ValueError unless ``value`` is exactly an int: a bool would
+    read as 0 or 1, and a float fails later with a raw TypeError."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an int, got {value!r}")
+
+
 class Graph:
     """Simple undirected graph, immutable once constructed.
 
     ``adj[v]`` is the open-neighborhood bitset of ``v``; ``closed[v]``
-    additionally contains ``v`` itself.  Construction validates range,
-    loop-freeness and symmetry, so any reachable instance is a simple
-    graph.  The check is :func:`_packed_degree_sum`: the masks become the
-    rows of one bit matrix, which must have no bit in a column >= n or on
-    the diagonal and must equal its transpose.  Only when that fails, or
+    additionally contains ``v`` itself.  Construction checks that the
+    order is an int and validates range, loop-freeness and symmetry, so
+    any reachable instance is a simple graph.  The check is
+    :func:`_packed_degree_sum`: the masks become the rows of one bit
+    matrix, which must have no bit in a column >= n or on the diagonal
+    and must equal its transpose.  Only when that fails, or
     the masks do not pack, does :func:`_checked_degree_sum` walk the
     masks edge by edge, to raise the error that names the first offence;
     a valid graph of int masks never pays for the loop.  Non-int masks
@@ -159,6 +167,7 @@ class Graph:
     __slots__ = ("n", "m", "adj", "closed", "_graph6", "_canonical", "_connected", "_cut_structure")
 
     def __init__(self, n: int, neighbor_masks: Sequence[int]):
+        _require_int(n, "graph order")
         masks = tuple(neighbor_masks)
         if n < 1:
             raise ValueError("graph order must be at least 1")
@@ -223,6 +232,8 @@ class CycleSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
+        for v in self.vertices:
+            _require_int(v, "cycle vertex")
         if len(self.vertices) < 3:
             raise ValueError("cycle length must be at least 3")
         if len(set(self.vertices)) != len(self.vertices):
@@ -248,8 +259,11 @@ class CycleSpec:
 
 def from_edges(n: int, edges) -> Graph:
     """Build a graph from unordered vertex pairs; duplicate pairs collapse."""
+    _require_int(n, "graph order")
     masks = [0] * n
     for u, v in edges:
+        _require_int(u, "edge vertex")
+        _require_int(v, "edge vertex")
         if u == v:
             raise ValueError(f"loop edge ({u},{v}) rejected")
         if not (0 <= u < n and 0 <= v < n):
@@ -261,6 +275,7 @@ def from_edges(n: int, edges) -> Graph:
 
 def make_named(family: str, n: int) -> Graph:
     """Standard labeled families: path, cycle, complete, star (hub = 0, n leaves)."""
+    _require_int(n, "n")
     if family == "path":
         if n < 1:
             raise ValueError("path needs n >= 1")
@@ -632,6 +647,7 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     connectivity independently of the traversal in :func:`is_connected`.
     The tables live for one call.
     """
+    _require_int(n, "corpus order")
     if not 1 <= n <= GENERATOR_MAX_ORDER:
         raise ValueError(
             f"corpus generator supports 1 <= n <= {GENERATOR_MAX_ORDER}, got {n}"

@@ -12,7 +12,10 @@ shared by every caller that asks for it.
 :data:`OPERATIONS` describes each operation once, keyed by the name of
 its function here: how to read and label its parameter, how to validate
 it against G, where G's vertices land in H, and how many ints it takes
-on the command line.  The table holds no function that applies an
+on the command line.  Every operation, and :func:`superedges`, reads its
+parameter through its row, so a parameter of the wrong shape (a bool or
+a float where an int belongs, say) raises ValueError naming the shape,
+whoever calls it.  The table holds no function that applies an
 operation.  Its three callers, ``harness``, ``witnesses`` and ``cli``,
 each apply one in the same way, as ``globals()[name](g, param)``: through
 their own module global of that name, looked up at call time, because
@@ -88,12 +91,14 @@ def _delete(adj, v: int) -> Graph:
 
 def remove_vertex(g: Graph, v: int) -> Graph:
     """Delete v and all incident edges; remaining ids compact downward."""
+    v = _read("remove_vertex", v)
     require_removable(g, v)
     return _delete(g.adj, v)
 
 
 def remove_edge(g: Graph, e: tuple[int, int]) -> Graph:
     """Delete one edge, keeping every vertex."""
+    e = _read("remove_edge", e)
     require_edge(g, e)
     u, v = e
     masks = list(g.adj)
@@ -114,12 +119,14 @@ def _contract(g: Graph, u: int, v: int) -> Graph:
 
 def contract_edge(g: Graph, e: tuple[int, int]) -> Graph:
     """Contract an edge; parallels collapse and no loop appears."""
+    e = _read("contract_edge", e)
     require_contractible_edge(g, e)
     return _contract(g, *e)
 
 
 def contract_vertices(g: Graph, pair: tuple[int, int]) -> Graph:
     """Merge a non-adjacent vertex pair into one vertex."""
+    pair = _read("contract_vertices", pair)
     require_contractible_pair(g, pair)
     return _contract(g, *pair)
 
@@ -131,6 +138,7 @@ def superedges(g: Graph, k: int) -> dict[tuple[int, int], tuple[int, ...]]:
     Internal vertex ids are assigned in sorted edge order, so the result
     is deterministic: edge number t gets ids n + t(k-1) .. n + (t+1)(k-1) - 1.
     """
+    k = _read("subdivide", k, "superedges")
     require_path_length(g, k)
     return {
         (u, v): (u, *range(g.n + t * (k - 1), g.n + (t + 1) * (k - 1)), v)
@@ -141,6 +149,7 @@ def superedges(g: Graph, k: int) -> dict[tuple[int, int], tuple[int, ...]]:
 def subdivide(g: Graph, k: int) -> Graph:
     """Replace every edge with the path :func:`superedges` gives it; k = 1
     reproduces g exactly."""
+    k = _read("subdivide", k)
     paths = superedges(g, k)
     masks = [0] * (g.n + g.m * (k - 1))
     for path in paths.values():
@@ -153,9 +162,7 @@ def subdivide(g: Graph, k: int) -> Graph:
 def cycle_extend(g: Graph, c: CycleSpec | Sequence[int]) -> Graph:
     """Add a hub adjacent to exactly the vertices of the cycle c, read as
     :data:`OPERATIONS` reads it: a CycleSpec or its vertex sequence."""
-    cyc = _read_cycle(c)
-    if cyc is None:
-        raise ValueError(f"cycle_extend takes {OPERATIONS['cycle_extend'].shape}, got {c!r}")
+    cyc = _read("cycle_extend", c)
     cyc.validate(g)
     hub_mask = 0
     for v in cyc.vertices:
@@ -168,18 +175,28 @@ def cycle_extend(g: Graph, c: CycleSpec | Sequence[int]) -> Graph:
     return Graph(g.n + 1, masks)
 
 
-# Each reader tests type() first: plain ints and tuples, which almost every
-# caller passes, then skip the isinstance calls and the slow Sequence test.
+def _read(name: str, param, caller: str | None = None):
+    """``param`` as ``OPERATIONS[name]`` reads it; ValueError naming
+    ``caller`` (``name`` by default) and the shape when it has the wrong one."""
+    op = OPERATIONS[name]
+    read = op.read(param)
+    if read is None:
+        raise ValueError(f"{caller or name} takes {op.shape}, got {param!r}")
+    return read
+
+
+# A vertex or a path length is exactly an int: a bool would read as 0 or 1.
+# _read_pair tests type() first, so a plain tuple skips the slow Sequence test.
 
 
 def _read_int(x) -> int | None:
-    return x if type(x) is int or (isinstance(x, int) and not isinstance(x, bool)) else None
+    return x if type(x) is int else None
 
 
 def _read_pair(x) -> tuple[int, int] | None:
     if (type(x) is tuple or isinstance(x, Sequence)) and len(x) == 2:
         u, v = x
-        if type(u) is type(v) is int or (_read_int(u) is not None and _read_int(v) is not None):
+        if type(u) is type(v) is int:
             return (u, v)
     return None
 

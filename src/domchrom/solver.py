@@ -415,9 +415,11 @@ def chi_dd_oracle(g: Graph) -> int:
     raise AssertionError("unreachable: all-singletons always qualifies")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True and 2.0 miss the entries of 1 and 2
 def path_chi_dd(k: int) -> int:
     """Memoized chi_dd of the path on k vertices; P_1 -> 1."""
+    if type(k) is not int:
+        raise ValueError(f"path order must be an int, got {k!r}")
     if k < 1:
         raise ValueError("path order must be at least 1")
     result = chi_dd_exact(make_named("path", k))

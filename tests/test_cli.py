@@ -44,28 +44,25 @@ def test_solve_budget_exhaustion_exit_3():
     assert "status=unknown" in out
 
 
-def test_budget_env_override(monkeypatch):
-    monkeypatch.setenv("DOMCHROM_BUDGET", "1")
-    code, out, _ = run_cli(["solve", C4])
-    assert code == 3
-    code, _, _ = run_cli(["solve", C4, "--budget", "100000"])
-    assert code == 0  # flag beats env
-    monkeypatch.setenv("DOMCHROM_BUDGET", "junk")
-    code, _, err = run_cli(["solve", C4])
-    assert code == 2
-    assert "DOMCHROM_BUDGET" in err
+def test_budget_env_var_is_not_read(monkeypatch):
+    # the node budget has one source, --budget: an old DOMCHROM_BUDGET in
+    # the environment changes no payload and no exit code
+    argvs = (["solve", C4], ["verify", "--n-max", "3", "--theorems", "1"])
+    monkeypatch.delenv("DOMCHROM_BUDGET", raising=False)
+    expected = [run_cli(argv)[:2] for argv in argvs]
+    assert [code for code, _ in expected] == [0, 0]
+    for value in ("1", "junk", "-3"):
+        monkeypatch.setenv("DOMCHROM_BUDGET", value)
+        for argv, want in zip(argvs, expected):
+            assert run_cli(argv)[:2] == want, (value, argv)
 
 
-def test_non_positive_budget_is_a_usage_error(monkeypatch):
+def test_non_positive_budget_is_a_usage_error():
     for budget in ("0", "-5"):
         for argv in (["solve", C4], ["verify", "--n-max", "3", "--theorems", "1"]):
             code, out, err = run_cli(argv + ["--budget", budget])
             assert code == 2 and out == ""
             assert "--budget must be a positive node count" in err
-    monkeypatch.setenv("DOMCHROM_BUDGET", "-3")
-    code, out, err = run_cli(["solve", C4])
-    assert code == 2 and out == ""
-    assert "DOMCHROM_BUDGET must be a positive node count" in err
 
 
 def test_verify_rejects_non_positive_workers():

@@ -475,6 +475,37 @@ def test_enumerate_cycles_walks_a_cycle_longer_than_the_recursion_limit():
     found = enumerate_cycles(make_named("cycle", 1100), 1100)
     assert [c.vertices for c in found] == [tuple(range(1100))]
 
+def test_orders_and_edge_vertices_must_be_ints():
+    # a bool would read as 0 or 1 and a float failed with a raw TypeError
+    cases = [
+        (lambda: Graph(True, [0]), "graph order must be an int, got True"),
+        (lambda: Graph(2.0, [2, 1]), "graph order must be an int, got 2.0"),
+        (lambda: from_edges(True, []), "graph order must be an int, got True"),
+        (lambda: from_edges(3.0, [(0, 1)]), "graph order must be an int, got 3.0"),
+        (lambda: from_edges(3, [(False, True)]), "edge vertex must be an int, got False"),
+        (lambda: from_edges(3, [(0, 1), (1, 2.0)]), "edge vertex must be an int, got 2.0"),
+        (lambda: make_named("path", True), "n must be an int, got True"),
+        (lambda: make_named("cycle", 4.0), "n must be an int, got 4.0"),
+        (lambda: list(enumerate_connected_graphs(True)), "corpus order must be an int, got True"),
+        (lambda: list(enumerate_connected_graphs(3.0)), "corpus order must be an int, got 3.0"),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+    assert Graph(1, [0]) == make_named("path", 1) and from_edges(2, [(0, 1)]) == make_named("path", 2)
+
+
+def test_cycle_spec_vertices_must_be_ints():
+    # checked before the length and repeat checks, first offender named
+    for vertices, bad in [((False, True, 2, 3), False), ((0.0, 1, 2, 3), 0.0), ((0, 1, 2.5, True), 2.5), ((True, 1), True)]:
+        with pytest.raises(ValueError, match=f"^cycle vertex must be an int, got {bad!r}$"):
+            CycleSpec(vertices)
+    c4 = make_named("cycle", 4)
+    with pytest.raises(ValueError, match=r"^theorem 6 takes a cycle"):
+        check_theorem(6, c4, (False, True, 2, 3))
+    assert check_theorem(6, c4, CycleSpec((0, 1, 2, 3))).instance == "C=0-1-2-3"
+
+
 def test_cycle_spec_validation():
     with pytest.raises(ValueError):
         CycleSpec((0, 1))

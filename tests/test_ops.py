@@ -221,6 +221,30 @@ def test_cycle_extend_reads_a_vertex_sequence_as_its_cycle():
         cycle_extend(c5, [0, 1, 3])
 
 
+def test_every_operation_reads_its_parameter_through_its_row():
+    # called directly, as harness, witnesses and cli do after reading
+    c4 = make_named("cycle", 4)
+    cases = [
+        (remove_vertex, True, "remove_vertex takes a vertex (an int)"),
+        (remove_vertex, 1.0, "remove_vertex takes a vertex (an int)"),
+        (remove_edge, (True, 0), "remove_edge takes an edge (two vertex ints)"),
+        (remove_edge, (0, 1, 2), "remove_edge takes an edge (two vertex ints)"),
+        (contract_edge, (0, 1.0), "contract_edge takes an edge (two vertex ints)"),
+        (contract_vertices, (0, True), "contract_vertices takes a vertex pair (two vertex ints)"),
+        (subdivide, True, "subdivide takes a path length k (an int)"),
+        (superedges, True, "superedges takes a path length k (an int)"),
+        (superedges, 2.0, "superedges takes a path length k (an int)"),
+        (cycle_extend, (0, 1, True, 3), "cycle_extend takes a cycle (a CycleSpec or a sequence of vertex ints)"),
+    ]
+    for op, param, message in cases:
+        with pytest.raises(ValueError) as info:
+            op(c4, param)
+        assert str(info.value) == f"{message}, got {param!r}", op.__name__
+    # a list reads as the pair it holds
+    assert remove_edge(c4, [3, 0]) == remove_edge(c4, (3, 0)) == make_named("path", 4)
+    assert contract_vertices(c4, [0, 2]) == contract_vertices(c4, (0, 2))
+
+
 def test_cycle_extend_counts():
     for n in range(3, 6):
         cn = make_named("cycle", n)

@@ -363,6 +363,14 @@ def test_path_chi_dd_examples_and_memo():
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
+def test_path_chi_dd_order_must_be_an_int():
+    # True and 2.0 must not hit the memo entries of 1 and 2
+    assert path_chi_dd(1) == 1 and path_chi_dd(2) == 2
+    for k in (True, 2.0, "3"):
+        with pytest.raises(ValueError, match=f"^path order must be an int, got {k!r}$"):
+            path_chi_dd(k)
+
+
 def test_solver_rejects_disconnected():
     with pytest.raises(ValueError):
         chi_dd_exact(from_edges(4, [(0, 1), (2, 3)]))
