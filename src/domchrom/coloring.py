@@ -110,19 +110,19 @@ def is_proper(g: Graph, c: Coloring) -> bool:
 
 def dominators_of_class(g: Graph, c: Coloring, i: int) -> set[int]:
     """Vertices v with class i inside N[v]; the intersection of closed
-    neighborhoods over the class members."""
-    doms = _judge(g, c)[0]
-    if not 0 <= i < c.class_count:
-        raise ValueError(f"class index {i} out of range for {c.class_count} classes")
-    return set(iter_bits(doms[i]))
+    neighborhoods over the class members; ValueError unless ``i`` is an int
+    in 0..class_count-1."""
+    if type(i) is not int or not 0 <= i < c.class_count:
+        raise ValueError(f"class index {i!r} is not an int in 0..{c.class_count - 1}")
+    return set(iter_bits(_judge(g, c)[0][i]))
 
 
 def classes_dominated_by(g: Graph, c: Coloring, v: int) -> set[int]:
-    """Color indices i with class i inside N[v]: those whose dominator mask holds v."""
-    doms = _judge(g, c)[0]
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range for order {g.n}")
-    return {i for i, d in enumerate(doms) if (d >> v) & 1}
+    """Color indices i with class i inside N[v]: those whose dominator mask
+    holds v; ValueError unless ``v`` is an int in 0..n-1."""
+    if type(v) is not int or not 0 <= v < g.n:
+        raise ValueError(f"vertex {v!r} is not an int in 0..{g.n - 1}")
+    return {i for i, d in enumerate(_judge(g, c)[0]) if (d >> v) & 1}
 
 
 # the verdict of every domination coloring; frozen, so one instance serves all

@@ -11,6 +11,15 @@ handful of big-integer operations, falling back to a per-edge loop only
 to name what is wrong; :func:`to_graph6` packs the upper triangle column
 by column; :func:`enumerate_connected_graphs` grows every graph from the
 graphs one vertex smaller, carrying their components along.
+
+Each graph is checked once, where it enters the package.  The checked
+constructors are ``Graph(n, masks)`` and ``CycleSpec(vertices)``.  A
+graph or cycle the package derives itself, from a graph already checked
+or from input it has just validated (:func:`parse_graph6`,
+:func:`from_edges`), is built through the private ``_derived``
+constructors, which skip the check: the generator's graphs, canonical
+forms and :func:`enumerate_cycles`' cycles here, and the operations'
+outputs in ``ops``.
 """
 
 from __future__ import annotations
@@ -63,7 +72,6 @@ class _Kernel(NamedTuple):
     pack: Callable[[tuple], int]  # the masks as rows of one bit matrix
     reject: int  # the bits a simple graph leaves clear
     swaps: tuple[tuple[int, int], ...]  # the transposing delta swaps
-    own: tuple[int, ...]  # each vertex's own bit, which closes its neighbourhood
 
 
 @lru_cache(maxsize=None)
@@ -78,53 +86,50 @@ def _order_kernel(n: int) -> _Kernel:
     reject = ~(full * rows) | diag
     if width == 8:
         def pack(masks: tuple) -> int:
-            # bytes() reads any mask through __index__; the sum is a plain
-            # int only if every mask is one, so others go to the slow path
-            if type(sum(masks)) is not int:
-                raise TypeError("non-int mask")
             return int.from_bytes(bytes(masks), "little")
     else:
         size = width // 8
 
         def pack(masks: tuple) -> int:
             return int.from_bytes(b"".join([mask.to_bytes(size, "little") for mask in masks]), "little")
-    return _Kernel(pack, reject, swaps, tuple(1 << v for v in range(n)))
+    return _Kernel(pack, reject, swaps)
 
 
-def _packed_degree_sum(masks: tuple, kernel: _Kernel) -> int | None:
-    """The degree sum of the simple graph with these masks, or None if
-    they are not one or do not pack into the kernel's bit matrix x (a
-    negative mask, a bit beyond the matrix width, a non-int).
+@lru_cache(maxsize=None)
+def _own_bits(n: int) -> tuple[int, ...]:
+    """Each vertex's own bit, which closes its neighbourhood."""
+    return tuple(1 << v for v in range(n))
 
-    With the masks as rows, x is a simple graph's adjacency matrix iff it
-    has no bit where ``kernel.reject`` has one and equals its transpose."""
+
+def _packs_simple(masks: tuple[int, ...], kernel: _Kernel) -> bool:
+    """Whether these plain-int masks pack into the kernel's bit matrix x
+    (no negative mask, no bit beyond the matrix width) and x is a simple
+    graph's adjacency matrix: no bit where ``kernel.reject`` has one, and
+    equal to its transpose."""
     try:
         x = kernel.pack(masks)
-    except (TypeError, ValueError, OverflowError, AttributeError):
-        return None
+    except (ValueError, OverflowError):
+        return False
     if x & kernel.reject:
-        return None
+        return False
     t = x
     for shift, keep in kernel.swaps:
         d = (t ^ (t >> shift)) & keep
         t ^= d ^ (d << shift)
-    return x.bit_count() if t == x else None
+    return t == x
 
 
-def _checked_degree_sum(n: int, masks: tuple) -> int:
-    """The degree sum of the simple graph with these masks, checked mask
-    by mask and edge by edge; raises ValueError naming the first offence:
+def _name_offence(n: int, masks: tuple[int, ...]) -> None:
+    """Raise ValueError naming the first offence of these plain-int masks:
     a vertex >= n, then a self-loop (both in vertex order), then the first
-    asymmetric pair.  Runs only where :func:`_packed_degree_sum` gave None,
-    so valid int masks never reach it."""
+    asymmetric pair.  Runs only where :func:`_packs_simple` said no, so
+    valid masks never reach it."""
     full = (1 << n) - 1
-    degree_sum = 0
     for v, mask in enumerate(masks):
         if mask & ~full:
             raise ValueError(f"neighbor mask of vertex {v} mentions vertices >= {n}")
         if (mask >> v) & 1:
             raise ValueError(f"self-loop at vertex {v}")
-        degree_sum += mask.bit_count()
     for v, mask in enumerate(masks):
         bit = 1 << v
         while mask:
@@ -133,7 +138,6 @@ def _checked_degree_sum(n: int, masks: tuple) -> int:
             if not masks[u] & bit:
                 raise ValueError(f"asymmetric adjacency between {u} and {v}")
             mask ^= low
-    return degree_sum
 
 
 def _require_int(value, what: str) -> None:
@@ -146,18 +150,25 @@ def _require_int(value, what: str) -> None:
 class Graph:
     """Simple undirected graph, immutable once constructed.
 
-    ``adj[v]`` is the open-neighborhood bitset of ``v``; ``closed[v]``
-    additionally contains ``v`` itself.  Construction checks that the
-    order is an int and validates range, loop-freeness and symmetry, so
-    any reachable instance is a simple graph.  The check is
-    :func:`_packed_degree_sum`: the masks become the rows of one bit
-    matrix, which must have no bit in a column >= n or on the diagonal
-    and must equal its transpose.  Only when that fails, or
-    the masks do not pack, does :func:`_checked_degree_sum` walk the
-    masks edge by edge, to raise the error that names the first offence;
-    a valid graph of int masks never pays for the loop.  Non-int masks
-    (numpy integers, say) never pack: that path stores them as plain
-    ints through ``operator.index``, which raises TypeError for a float.
+    ``adj[v]`` is the open-neighborhood bitset of ``v``, a plain int;
+    ``closed[v]`` additionally contains ``v`` itself.  ``Graph(n, masks)``
+    is the checked constructor: it checks that the order is an int, turns
+    every mask into a plain int through ``operator.index`` (a numpy
+    integer becomes an int, a bool 0 or 1, a float raises TypeError) and
+    validates range, loop-freeness and symmetry, so any instance built
+    from outside the package is a simple graph.  The check is
+    :func:`_packs_simple`: the masks become the rows of one bit matrix,
+    which must have no bit in a column >= n or on the diagonal and must
+    equal its transpose.  Only when that fails does :func:`_name_offence`
+    walk the masks edge by edge, to raise the error that names the first
+    offence.
+
+    Masks the package derives itself, from a graph already checked or
+    from input it has validated on the way in, skip the check through the
+    private ``Graph._derived``: the operations in ``ops``,
+    :func:`canonical_form`, the harness's search forms,
+    :func:`enumerate_connected_graphs`, :func:`parse_graph6` and
+    :func:`from_edges`.  Both constructors fill the slots the same way.
     Because it never changes, :func:`to_graph6`, :func:`canonical_form`,
     :func:`is_connected` and the cut structure behind
     :func:`cut_vertices`/:func:`bridges` are computed once per instance
@@ -168,26 +179,37 @@ class Graph:
 
     def __init__(self, n: int, neighbor_masks: Sequence[int]):
         _require_int(n, "graph order")
-        masks = tuple(neighbor_masks)
         if n < 1:
             raise ValueError("graph order must be at least 1")
+        masks = tuple(map(index, neighbor_masks))  # plain ints; TypeError for a non-integral mask
         if len(masks) != n:
             raise ValueError(f"expected {n} neighbor masks, got {len(masks)}")
-        kernel = _order_kernel(n)
-        degree_sum = _packed_degree_sum(masks, kernel)
-        if degree_sum is None:
-            masks = tuple(map(index, masks))  # plain ints; TypeError for a non-integral mask
-            degree_sum = _checked_degree_sum(n, masks)
+        if not _packs_simple(masks, _order_kernel(n)):
+            _name_offence(n, masks)
+        self._fill(n, masks)
+
+    @classmethod
+    def _derived(cls, n: int, masks: Sequence[int]) -> Graph:
+        """The graph on these masks, unchecked: only for plain-int masks of
+        a simple graph of order n that the package built itself."""
+        g = cls.__new__(cls)
+        g._fill(n, tuple(masks))
+        return g
+
+    def _fill(self, n: int, masks: tuple[int, ...]) -> None:
         self.n = n
-        self.m = degree_sum // 2
+        self.m = sum(map(int.bit_count, masks)) >> 1
         self.adj = masks
-        self.closed = tuple(map(or_, masks, kernel.own))
+        self.closed = tuple(map(or_, masks, _own_bits(n)))
         self._graph6: str | None = None
         self._canonical: Graph | None = None
         self._connected: bool | None = None
         self._cut_structure: tuple[frozenset[int], frozenset[tuple[int, int]]] | None = None
 
     def degree(self, v: int) -> int:
+        """The degree of vertex ``v``; ValueError unless ``v`` is an int in 0..n-1."""
+        if type(v) is not int or not 0 <= v < self.n:
+            raise ValueError(f"vertex {v!r} is not an int in 0..{self.n - 1}")
         return self.adj[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -223,8 +245,12 @@ class Graph:
 class CycleSpec:
     """A cycle given by its vertex sequence (cyclically consecutive = adjacent).
 
-    :meth:`validate` keeps the adjacency of the last graph it passed in a
-    memo slot, which equality, hashing and repr ignore.
+    ``CycleSpec(vertices)`` is the checked constructor: every vertex an
+    int, at least three, none repeated.  :meth:`validate` keeps the
+    adjacency of the last graph it passed in a memo slot, which equality,
+    hashing and repr ignore.  :func:`enumerate_cycles` builds its cycles
+    through the private ``CycleSpec._derived``, which skips those checks
+    and presets the memo to the graph it walked.
     """
 
     vertices: tuple[int, ...]
@@ -238,6 +264,14 @@ class CycleSpec:
             raise ValueError("cycle length must be at least 3")
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("cycle repeats a vertex")
+
+    @classmethod
+    def _derived(cls, vertices: tuple[int, ...], adj: tuple[int, ...]) -> CycleSpec:
+        """The cycle ``vertices``, unchecked and already validated on the
+        graph with adjacency ``adj``: only for a cycle the package walked there."""
+        c = cls.__new__(cls)
+        c.__dict__.update(vertices=vertices, _validated=adj)
+        return c
 
     @property
     def length(self) -> int:
@@ -258,8 +292,12 @@ class CycleSpec:
 
 
 def from_edges(n: int, edges) -> Graph:
-    """Build a graph from unordered vertex pairs; duplicate pairs collapse."""
+    """Build a graph from unordered vertex pairs; duplicate pairs collapse.
+    Every pair is checked here and sets both directions, so the masks are
+    a simple graph's."""
     _require_int(n, "graph order")
+    if n < 1:
+        raise ValueError("graph order must be at least 1")
     masks = [0] * n
     for u, v in edges:
         _require_int(u, "edge vertex")
@@ -270,7 +308,7 @@ def from_edges(n: int, edges) -> Graph:
             raise ValueError(f"edge ({u},{v}) out of range for order {n}")
         masks[u] |= 1 << v
         masks[v] |= 1 << u
-    return Graph(n, masks)
+    return Graph._derived(n, masks)
 
 
 def make_named(family: str, n: int) -> Graph:
@@ -345,7 +383,7 @@ def parse_graph6(text: str) -> Graph:
         pad = 6 - nbits % 6
         if (ord(s[-1]) - 63) & ((1 << pad) - 1):
             raise Graph6Error("nonzero padding bits", len(s) - 1)
-    return Graph(n, masks)
+    return Graph._derived(n, masks)
 
 
 # graph6 body characters by six-bit group read lowest bit first: the
@@ -418,7 +456,7 @@ def canonical_form(g: Graph) -> Graph:
     vertex i of the result is vertex ``_canonical_order(g)[i]`` of ``g``."""
     if g._canonical is not None:
         return g._canonical
-    g._canonical = Graph(g.n, _relabeled(g.adj, _canonical_order(g)))
+    g._canonical = Graph._derived(g.n, _relabeled(g.adj, _canonical_order(g)))
     return g._canonical
 
 
@@ -592,8 +630,9 @@ def enumerate_cycles(g: Graph, max_len: int) -> list[CycleSpec]:
 
     The reported rotation starts at the cycle's minimum vertex and runs
     toward the smaller of its two cycle-neighbors, which deduplicates
-    rotations and reflections.
+    rotations and reflections.  Each cycle comes already validated on ``g``.
     """
+    _require_int(max_len, "cycle length cap")
     if not 3 <= max_len <= g.n:
         raise ValueError(f"need 3 <= max_len <= {g.n}, got {max_len}")
     adj = g.adj
@@ -621,7 +660,7 @@ def enumerate_cycles(g: Graph, max_len: int) -> list[CycleSpec]:
                 u = low.bit_length() - 1
                 path.append(u)
                 if adj[u] & sbit and v1 < u:
-                    out.append(CycleSpec(tuple(path)))
+                    out.append(CycleSpec._derived(tuple(path), adj))
                 if len(path) < max_len:
                     used |= low
                     rests.append(adj[u] & above & ~used)
@@ -683,4 +722,4 @@ def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
         links = tuple(bit if (h >> v) & 1 else 0 for v in range(k))
         for masks, connecting in last:
             if (connecting >> h) & 1:
-                yield Graph(n, (*map(or_, masks, links), h))
+                yield Graph._derived(n, (*map(or_, masks, links), h))

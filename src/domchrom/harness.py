@@ -167,8 +167,8 @@ def _solve_cached(g: Graph, budget: int, cache: _SolveCache, labeled: bool = Tru
             cache[key] = result
         return result
     result = cache.get(form)
-    if result is None:  # a cached form is never built as a Graph
-        result = chi_dd_exact(Graph(g.n, form), budget)
+    if result is None:  # a cached form is never built as a Graph; a form relabels the checked g
+        result = chi_dd_exact(Graph._derived(g.n, form), budget)
         if result.status != "exact":
             return result
         cache[form] = result

@@ -2,6 +2,10 @@
 number is bounded: vertex/edge removal, edge/vertex contraction,
 k-subdivision, and cycle extending.  Each is ``op(g, param)`` and returns
 the graph it makes; :func:`superedges` gives the paths of a subdivision.
+G was checked when it was built and each operation validates its
+parameter against G, so H's masks are a simple graph's by construction:
+every operation builds H through the private ``Graph._derived``, which
+skips ``Graph``'s check.
 
 Vertex ids are compacted order-preservingly after removal, and a merged
 vertex takes the smaller original id's slot; the ``*_index_map`` helpers
@@ -86,7 +90,7 @@ def _delete(adj, v: int) -> Graph:
     """Drop vertex v's slot from every other mask, shifting higher ids down."""
     low = (1 << v) - 1
     masks = [(m & low) | (m >> (v + 1) << v) for w, m in enumerate(adj) if w != v]
-    return Graph(len(adj) - 1, masks)
+    return Graph._derived(len(adj) - 1, masks)
 
 
 def remove_vertex(g: Graph, v: int) -> Graph:
@@ -104,7 +108,7 @@ def remove_edge(g: Graph, e: tuple[int, int]) -> Graph:
     masks = list(g.adj)
     masks[u] &= ~(1 << v)
     masks[v] &= ~(1 << u)
-    return Graph(g.n, masks)
+    return Graph._derived(g.n, masks)
 
 
 def _contract(g: Graph, u: int, v: int) -> Graph:
@@ -156,7 +160,7 @@ def subdivide(g: Graph, k: int) -> Graph:
         for a, b in zip(path, path[1:]):
             masks[a] |= 1 << b
             masks[b] |= 1 << a
-    return Graph(len(masks), masks)
+    return Graph._derived(len(masks), masks)
 
 
 def cycle_extend(g: Graph, c: CycleSpec | Sequence[int]) -> Graph:
@@ -172,7 +176,7 @@ def cycle_extend(g: Graph, c: CycleSpec | Sequence[int]) -> Graph:
         g.adj[w] | (hub_bit if (hub_mask >> w) & 1 else 0) for w in range(g.n)
     ]
     masks.append(hub_mask)
-    return Graph(g.n + 1, masks)
+    return Graph._derived(g.n + 1, masks)
 
 
 def _read(name: str, param, caller: str | None = None):

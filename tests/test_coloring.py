@@ -105,8 +105,9 @@ def test_dominators_of_class_examples():
     c6 = make_named("cycle", 6)
     antipodal = Coloring([0, 1, 2, 0, 3, 4])
     assert dominators_of_class(c6, antipodal, 0) == set()
-    with pytest.raises(ValueError):
-        dominators_of_class(p3, ends_then_mid, 2)
+    for i in (2, -1, True, 0.0):
+        with pytest.raises(ValueError, match=rf"^class index {i!r} is not an int in 0\.\.1$"):
+            dominators_of_class(p3, ends_then_mid, i)
 
 
 def test_classes_dominated_by_examples():
@@ -116,6 +117,9 @@ def test_classes_dominated_by_examples():
     p4 = make_named("path", 4)
     bipartition = Coloring([0, 1, 0, 1])
     assert classes_dominated_by(p4, bipartition, 0) == set()
+    for v in (4, -1, True, 1.0):
+        with pytest.raises(ValueError, match=rf"^vertex {v!r} is not an int in 0\.\.3$"):
+            classes_dominated_by(p4, bipartition, v)
     # a vertex always dominates its own singleton class
     for g in enumerate_connected_graphs(4):
         c = Coloring([0, 1, 2, 3])

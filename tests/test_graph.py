@@ -54,6 +54,9 @@ def test_from_edges_rejects_loop_and_range():
         from_edges(3, [(1, 1)])
     with pytest.raises(ValueError):
         from_edges(3, [(0, 3)])
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="^graph order must be at least 1$"):
+            from_edges(n, [])
 
 
 def test_graph_rejects_asymmetric_masks():
@@ -162,9 +165,9 @@ def test_graph_kernel_validates_a_subdivision_of_order_70():
 
 @pytest.mark.parametrize("n", [3, 9, 70])
 def test_graph_stores_numpy_masks_as_plain_ints(n):
-    # numpy integers pack at no width: the per-edge path turns every mask
-    # into a plain int through operator.index (at n = 70 the masks too wide
-    # for int64 stay Python ints), and a float mask is a TypeError
+    # every mask becomes a plain int through operator.index before the check
+    # (at n = 70 the masks too wide for int64 stay Python ints), and a float
+    # mask is a TypeError
     np = pytest.importorskip("numpy")
     cycle = make_named("cycle", n)
     masks = [np.int64(mask) if mask < 2**63 else mask for mask in cycle.adj]
@@ -177,6 +180,24 @@ def test_graph_stores_numpy_masks_as_plain_ints(n):
         Graph(n, [float(cycle.adj[0]), *cycle.adj[1:]])
     with pytest.raises(ValueError, match="asymmetric"):
         Graph(n, [np.int64(0), *masks[1:]])
+
+
+def test_graph_stores_bool_masks_as_plain_ints():
+    # a bool is an int subclass, so it packs at width 8: it is stored as 0 or 1
+    g = Graph(2, [2, True])
+    assert g.adj == (2, 1) and g.closed == (3, 3) and g.m == 1
+    assert all(type(mask) is int for mask in g.adj + g.closed)
+    assert g == make_named("path", 2) and to_graph6(g) == "A_"
+    with pytest.raises(TypeError):
+        Graph(2, [2, 1.0])
+
+
+def test_degree_takes_only_an_in_range_int():
+    c4 = make_named("cycle", 4)
+    assert [c4.degree(v) for v in range(4)] == [2, 2, 2, 2]
+    for v in (-1, 4, 9, True, 1.0):
+        with pytest.raises(ValueError, match=rf"^vertex {v!r} is not an int in 0\.\.3$"):
+            c4.degree(v)
 
 
 def test_make_named_families():
@@ -488,6 +509,8 @@ def test_orders_and_edge_vertices_must_be_ints():
         (lambda: make_named("cycle", 4.0), "n must be an int, got 4.0"),
         (lambda: list(enumerate_connected_graphs(True)), "corpus order must be an int, got True"),
         (lambda: list(enumerate_connected_graphs(3.0)), "corpus order must be an int, got 3.0"),
+        (lambda: enumerate_cycles(make_named("complete", 4), 3.5), "cycle length cap must be an int, got 3.5"),
+        (lambda: enumerate_cycles(make_named("complete", 4), True), "cycle length cap must be an int, got True"),
     ]
     for build, message in cases:
         with pytest.raises(ValueError, match=f"^{message}$"):

@@ -92,10 +92,10 @@ def _through(g, vmap):
 
 
 def test_contractions_stay_simple_on_full_corpus():
-    # Graph() construction asserts loop-freeness and symmetry, so building
-    # every contraction over the full n <= 6 corpus is the simplicity check;
-    # connectivity preservation rides along, and every removal and
-    # contraction is G sent through the vertex map its OPERATIONS entry gives.
+    # every removal and contraction over the full n <= 6 corpus equals G sent
+    # through the vertex map its OPERATIONS entry gives, built by from_edges,
+    # which rejects loops and sets both directions of each pair: that equality
+    # is the simplicity check; connectivity preservation rides along.
     vertex_map = {name: op.vertex_map for name, op in OPERATIONS.items()}
     for n in range(2, 7):
         for g in enumerate_connected_graphs(n):
