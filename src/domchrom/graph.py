@@ -5,12 +5,10 @@ bitset, so set intersection, union and containment are single integer
 operations.  That keeps the solver and the exhaustive corpus sweeps
 allocation-light without reaching for numpy.
 
-Three kernels treat whole graphs as single integers.  ``Graph`` packs
-its masks into one bit matrix and checks range, loops and symmetry with a
-handful of big-integer operations, falling back to a per-edge loop only
-to name what is wrong; :func:`to_graph6` packs the upper triangle column
-by column; :func:`enumerate_connected_graphs` grows every graph from the
-graphs one vertex smaller, carrying their components along.
+Two kernels treat whole graphs as single integers: :func:`to_graph6`
+packs the upper triangle column by column, and
+:func:`enumerate_connected_graphs` grows every graph from the graphs one
+vertex smaller, carrying their components along.
 
 Each graph is checked once, where it enters the package.  The checked
 constructors are ``Graph(n, masks)`` and ``CycleSpec(vertices)``.  A
@@ -27,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import index, or_
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 GRAPH6_MAX_ORDER = 258_047  # the largest order graph6's 4-byte header holds
 GENERATOR_MAX_ORDER = 7  # 2^21 candidate edge masks is the exhaustive limit
@@ -50,80 +48,16 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 
 @lru_cache(maxsize=None)
-def _matrix_masks(width: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The diagonal of a ``width`` x ``width`` row-major bit matrix (bit
-    ``r * width + c`` is entry (r, c)), and the delta swaps that transpose
-    it (Warren, *Hacker's Delight*, section 7-3): for each block size j,
-    from width/2 down to 1, the entries (r, c) with r & j == 0 and
-    c & j != 0, each swapped with (r + j, c - j), j * (width - 1) bits up."""
-    diag = sum(1 << (v * width + v) for v in range(width))
-    swaps = []
-    j = width // 2
-    while j:
-        cols = sum(1 << c for c in range(width) if c & j)
-        swaps.append((j * (width - 1), sum(cols << (r * width) for r in range(width) if not r & j)))
-        j //= 2
-    return diag, tuple(swaps)
-
-
-class _Kernel(NamedTuple):
-    """The validation kernel's tables for one graph order."""
-
-    pack: Callable[[tuple], int]  # the masks as rows of one bit matrix
-    reject: int  # the bits a simple graph leaves clear
-    swaps: tuple[tuple[int, int], ...]  # the transposing delta swaps
-
-
-@lru_cache(maxsize=None)
-def _order_kernel(n: int) -> _Kernel:
-    """The kernel for order ``n``.  Its matrix width is a power of two, at
-    least 8 and at least n; a simple graph has no bit in a column >= n and
-    none on the diagonal."""
-    full = (1 << n) - 1
-    width = max(8, 1 << (n - 1).bit_length())
-    diag, swaps = _matrix_masks(width)
-    rows = sum(1 << (v * width) for v in range(n))
-    reject = ~(full * rows) | diag
-    if width == 8:
-        def pack(masks: tuple) -> int:
-            return int.from_bytes(bytes(masks), "little")
-    else:
-        size = width // 8
-
-        def pack(masks: tuple) -> int:
-            return int.from_bytes(b"".join([mask.to_bytes(size, "little") for mask in masks]), "little")
-    return _Kernel(pack, reject, swaps)
-
-
-@lru_cache(maxsize=None)
 def _own_bits(n: int) -> tuple[int, ...]:
     """Each vertex's own bit, which closes its neighbourhood."""
     return tuple(1 << v for v in range(n))
 
 
-def _packs_simple(masks: tuple[int, ...], kernel: _Kernel) -> bool:
-    """Whether these plain-int masks pack into the kernel's bit matrix x
-    (no negative mask, no bit beyond the matrix width) and x is a simple
-    graph's adjacency matrix: no bit where ``kernel.reject`` has one, and
-    equal to its transpose."""
-    try:
-        x = kernel.pack(masks)
-    except (ValueError, OverflowError):
-        return False
-    if x & kernel.reject:
-        return False
-    t = x
-    for shift, keep in kernel.swaps:
-        d = (t ^ (t >> shift)) & keep
-        t ^= d ^ (d << shift)
-    return t == x
-
-
-def _name_offence(n: int, masks: tuple[int, ...]) -> None:
-    """Raise ValueError naming the first offence of these plain-int masks:
-    a vertex >= n, then a self-loop (both in vertex order), then the first
-    asymmetric pair.  Runs only where :func:`_packs_simple` said no, so
-    valid masks never reach it."""
+def _check_masks(n: int, masks: tuple[int, ...]) -> None:
+    """Raise ValueError unless these plain-int masks are a simple graph's,
+    naming the first offence: a vertex >= n (which a negative mask has),
+    then a self-loop (both in vertex order), then the first asymmetric
+    pair.  One pass over the masks and one over the edges."""
     full = (1 << n) - 1
     for v, mask in enumerate(masks):
         if mask & ~full:
@@ -155,13 +89,9 @@ class Graph:
     is the checked constructor: it checks that the order is an int, turns
     every mask into a plain int through ``operator.index`` (a numpy
     integer becomes an int, a bool 0 or 1, a float raises TypeError) and
-    validates range, loop-freeness and symmetry, so any instance built
-    from outside the package is a simple graph.  The check is
-    :func:`_packs_simple`: the masks become the rows of one bit matrix,
-    which must have no bit in a column >= n or on the diagonal and must
-    equal its transpose.  Only when that fails does :func:`_name_offence`
-    walk the masks edge by edge, to raise the error that names the first
-    offence.
+    validates range, loop-freeness and symmetry edge by edge in
+    :func:`_check_masks`, so any instance built from outside the package
+    is a simple graph.
 
     Masks the package derives itself, from a graph already checked or
     from input it has validated on the way in, skip the check through the
@@ -184,8 +114,7 @@ class Graph:
         masks = tuple(map(index, neighbor_masks))  # plain ints; TypeError for a non-integral mask
         if len(masks) != n:
             raise ValueError(f"expected {n} neighbor masks, got {len(masks)}")
-        if not _packs_simple(masks, _order_kernel(n)):
-            _name_offence(n, masks)
+        _check_masks(n, masks)
         self._fill(n, masks)
 
     @classmethod
@@ -206,15 +135,21 @@ class Graph:
         self._connected: bool | None = None
         self._cut_structure: tuple[frozenset[int], frozenset[tuple[int, int]]] | None = None
 
-    def degree(self, v: int) -> int:
-        """The degree of vertex ``v``; ValueError unless ``v`` is an int in 0..n-1."""
+    def _check_vertex(self, v: int) -> None:
+        """Raise ValueError unless ``v`` is exactly an int in 0..n-1: a bool
+        would read as vertex 0 or 1, and -1 as the last vertex."""
         if type(v) is not int or not 0 <= v < self.n:
             raise ValueError(f"vertex {v!r} is not an int in 0..{self.n - 1}")
+
+    def degree(self, v: int) -> int:
+        """The degree of vertex ``v``; ValueError unless ``v`` is an int in 0..n-1."""
+        self._check_vertex(v)
         return self.adj[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"vertex pair ({u},{v}) out of range for order {self.n}")
+        """Whether ``u`` and ``v`` are adjacent; ValueError unless each is an int in 0..n-1."""
+        self._check_vertex(u)
+        self._check_vertex(v)
         return u != v and bool((self.adj[u] >> v) & 1)
 
     def edges(self) -> list[tuple[int, int]]:

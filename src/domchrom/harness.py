@@ -37,6 +37,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Union
 from .coloring import Coloring, is_domination_coloring
 from .graph import (
     Graph,
+    _require_int,
     bridges,
     canonical_form,
     cut_vertices,
@@ -83,9 +84,7 @@ class HarnessConfig:
         # a bool is an int to isinstance and 2.5 compares like one, so either
         # would run and be reported as given
         for name in ("cycle_cap", "subdivided_cap", "budget", "workers"):
-            value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an int, got {value!r}")
+            _require_int(getattr(self, name), name)
         if type(self.witnesses) is not bool:  # "no" is truthy: witnesses would run
             raise ValueError(f"witnesses must be a bool, got {self.witnesses!r}")
         if self.workers < 1:
@@ -277,8 +276,7 @@ def _require_connected(g: Graph) -> None:
 
 
 def _spec(theorem: int) -> _Spec:
-    if type(theorem) is not int:  # True and 1.0 would find theorem 1 and be reported as "True", "1.0"
-        raise ValueError(f"theorem id must be an int, got {theorem!r}")
+    _require_int(theorem, "theorem id")  # True and 1.0 would find theorem 1 and be reported as "True", "1.0"
     spec = _SPECS.get(theorem)
     if spec is None:
         raise ValueError(f"unknown theorem id {theorem}; expected 1..6")

@@ -59,7 +59,7 @@ from operator import or_
 from typing import NamedTuple
 
 from .coloring import Coloring, is_domination_coloring
-from .graph import Graph, _relabeled, is_connected, make_named
+from .graph import Graph, _relabeled, _require_int, is_connected, make_named
 
 DEFAULT_BUDGET = 10_000_000
 _PACKING_MEMO_CAP = 1 << 16  # entries one solve's packing memo may hold
@@ -418,8 +418,7 @@ def chi_dd_oracle(g: Graph) -> int:
 @lru_cache(maxsize=None, typed=True)  # typed: True and 2.0 miss the entries of 1 and 2
 def path_chi_dd(k: int) -> int:
     """Memoized chi_dd of the path on k vertices; P_1 -> 1."""
-    if type(k) is not int:
-        raise ValueError(f"path order must be an int, got {k!r}")
+    _require_int(k, "path order")
     if k < 1:
         raise ValueError("path order must be at least 1")
     result = chi_dd_exact(make_named("path", k))

@@ -121,6 +121,8 @@ def _corruptions(n, masks, rng):
         out["dropped mirror bit"] = [mask & ~(1 << u) if w == v else mask for w, mask in enumerate(masks)]
     v = rng.randrange(n)
     out["self-loop"] = [mask | (1 << v) if w == v else mask for w, mask in enumerate(masks)]
+    # bits out of range: at n, on either side of the next power of two (at
+    # least 8), and anywhere up to twice that
     width = max(8, 1 << (n - 1).bit_length())
     for where in (n, width - 1, width, rng.randrange(n, 2 * width + 3)):
         if where >= n:
@@ -132,11 +134,10 @@ def _corruptions(n, masks, rng):
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 9, 16, 17, 32, 33, 62, 64, 65, 100])
-def test_graph_kernel_matches_the_per_edge_definition(n):
-    # random valid masks and one-bit corruptions of them, on both sides of
-    # every matrix width the kernel switches at: Graph raises exactly when
-    # the pair-by-pair definition does, with its message, and otherwise
-    # builds the same graph
+def test_graph_matches_the_per_edge_reference(n):
+    # random valid masks and one-bit corruptions of them, at orders on both
+    # sides of each power of two: Graph raises exactly when the pair-by-pair
+    # reference does, with its message, and otherwise builds the same graph
     rng = random.Random(f"graph-kernel:{n}")
     for density in (0.0, 0.1, 0.5, 0.9, 1.0):
         masks = [0] * n
@@ -152,8 +153,8 @@ def test_graph_kernel_matches_the_per_edge_definition(n):
                 assert isinstance(want, str), (n, density, name)
 
 
-def test_graph_kernel_validates_a_subdivision_of_order_70():
-    # above graph6's one-byte header (62) and above 64: the kernel's matrix is 128 bits wide
+def test_graph_matches_the_per_edge_reference_on_a_subdivision_of_order_70():
+    # above graph6's one-byte header (62) and above 64 bits, the width of one machine word
     h = subdivide(make_named("cycle", 5), 14)
     assert (h.n, h.m) == (70, 70)
     assert all(h.degree(v) == 2 for v in range(h.n)) and is_connected(h)
@@ -161,6 +162,27 @@ def test_graph_kernel_validates_a_subdivision_of_order_70():
     rng = random.Random(70)
     for name, variant in _corruptions(h.n, list(h.adj), rng).items():
         assert _built(h.n, variant) == _per_edge(h.n, variant), name
+
+
+@pytest.mark.parametrize("family", ["path", "cycle"])
+def test_graph_checks_masks_of_order_4000(family):
+    # the check walks each mask once and each edge once, so an order in the
+    # thousands stays quick: equal to the named family when valid, and a
+    # dropped mirror bit or a bit at n raises its named error
+    n = 4_000
+    named = make_named(family, n)
+    start = time.perf_counter()
+    g = Graph(n, named.adj)
+    assert time.perf_counter() - start < 0.5
+    assert g == named and (g.m, g.closed) == (named.m, named.closed)
+    masks = list(named.adj)
+    masks[1] &= ~1  # 0 lists 1, but 1 no longer lists 0
+    with pytest.raises(ValueError, match=r"^asymmetric adjacency between 1 and 0$"):
+        Graph(n, masks)
+    masks = list(named.adj)
+    masks[n - 1] |= 1 << n
+    with pytest.raises(ValueError, match=rf"^neighbor mask of vertex {n - 1} mentions vertices >= {n}$"):
+        Graph(n, masks)
 
 
 @pytest.mark.parametrize("n", [3, 9, 70])
@@ -183,7 +205,7 @@ def test_graph_stores_numpy_masks_as_plain_ints(n):
 
 
 def test_graph_stores_bool_masks_as_plain_ints():
-    # a bool is an int subclass, so it packs at width 8: it is stored as 0 or 1
+    # a bool is an int subclass, so operator.index takes it: it is stored as 0 or 1
     g = Graph(2, [2, True])
     assert g.adj == (2, 1) and g.closed == (3, 3) and g.m == 1
     assert all(type(mask) is int for mask in g.adj + g.closed)
@@ -198,6 +220,15 @@ def test_degree_takes_only_an_in_range_int():
     for v in (-1, 4, 9, True, 1.0):
         with pytest.raises(ValueError, match=rf"^vertex {v!r} is not an int in 0\.\.3$"):
             c4.degree(v)
+
+
+def test_has_edge_takes_only_in_range_ints():
+    c4 = make_named("cycle", 4)
+    assert c4.has_edge(0, 1) and c4.has_edge(3, 0) and not c4.has_edge(0, 2) and not c4.has_edge(1, 1)
+    # True would read as vertex 1 and -1 as vertex 3; 1.5 would fail as a raw TypeError
+    for pair, bad in [((True, 0), True), ((0, False), False), ((1.5, 0), 1.5), ((-1, 0), -1), ((4, 0), 4)]:
+        with pytest.raises(ValueError, match=rf"^vertex {bad!r} is not an int in 0\.\.3$"):
+            c4.has_edge(*pair)
 
 
 def test_make_named_families():
