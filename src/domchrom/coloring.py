@@ -17,9 +17,11 @@ from .graph import Graph, iter_bits
 class Coloring:
     """Vertex -> color assignment with dense color indices 0..k-1.
 
-    Input values may have gaps; they are renumbered by first appearance,
-    so every class is nonempty and ``class_count <= n`` holds by
-    construction.  ``classes[i]`` is the bitset of vertices colored i.
+    Every input value is exactly an int: a bool, a float, a numpy integer
+    or a string raises ValueError.  Values may have gaps; they are
+    renumbered by first appearance, so every class is nonempty and
+    ``class_count <= n`` holds by construction.  ``classes[i]`` is the
+    bitset of vertices colored i.
     Because it never changes, the memo slot ``_judged`` keeps its last
     judgement (see :func:`_judge`) with the adjacency it was made on.
     """
@@ -33,6 +35,8 @@ class Coloring:
         masks = []
         bit = 1
         for x in assignment:
+            if type(x) is not int:  # True would join color 1's class, and "a" fail with a raw TypeError
+                raise ValueError(f"color must be an int, got {x!r}")
             c = remap.get(x)
             if c is None:  # the color's first vertex: its one sign check
                 if x < 0:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import index, or_
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 GRAPH6_MAX_ORDER = 258_047  # the largest order graph6's 4-byte header holds
 GENERATOR_MAX_ORDER = 7  # 2^21 candidate edge masks is the exhaustive limit
@@ -102,10 +102,14 @@ class Graph:
     Because it never changes, :func:`to_graph6`, :func:`canonical_form`,
     :func:`is_connected` and the cut structure behind
     :func:`cut_vertices`/:func:`bridges` are computed once per instance
-    and kept in the four memo slots.
+    and kept in the first four of five memo slots.  The fifth, ``_made``,
+    is ``None`` except on an operation's output: there ``ops`` records
+    which operation made it, from which G and with which parameter, so a
+    witness given that H, that G and that parameter need not check again
+    what the operation checked (see ``witnesses``).
     """
 
-    __slots__ = ("n", "m", "adj", "closed", "_graph6", "_canonical", "_connected", "_cut_structure")
+    __slots__ = ("n", "m", "adj", "closed", "_graph6", "_canonical", "_connected", "_cut_structure", "_made")
 
     def __init__(self, n: int, neighbor_masks: Sequence[int]):
         _require_int(n, "graph order")
@@ -134,6 +138,7 @@ class Graph:
         self._canonical: Graph | None = None
         self._connected: bool | None = None
         self._cut_structure: tuple[frozenset[int], frozenset[tuple[int, int]]] | None = None
+        self._made: tuple[str, Graph, Any] | None = None  # (operation name, G, param as read)
 
     def _check_vertex(self, v: int) -> None:
         """Raise ValueError unless ``v`` is exactly an int in 0..n-1: a bool

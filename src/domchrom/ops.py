@@ -5,7 +5,10 @@ the graph it makes; :func:`superedges` gives the paths of a subdivision.
 G was checked when it was built and each operation validates its
 parameter against G, so H's masks are a simple graph's by construction:
 every operation builds H through the private ``Graph._derived``, which
-skips ``Graph``'s check.
+skips ``Graph``'s check.  Each operation also records on H, in the slot
+``Graph._made``, its own name, G and the parameter as it read it; the
+witnesses trust an H whose record names their operation, their G and
+their very parameter object, and check any other H.
 
 Vertex ids are compacted order-preservingly after removal, and a merged
 vertex takes the smaller original id's slot; the ``*_index_map`` helpers
@@ -14,17 +17,17 @@ map depends only on the order and the ids, so each is built once and
 shared by every caller that asks for it.
 
 :data:`OPERATIONS` describes each operation once, keyed by the name of
-its function here: how to read and label its parameter, how to validate
-it against G, where G's vertices land in H, and how many ints it takes
-on the command line.  Every operation, and :func:`superedges`, reads its
-parameter through its row, so a parameter of the wrong shape (a bool or
-a float where an int belongs, say) raises ValueError naming the shape,
-whoever calls it.  The table holds no function that applies an
-operation.  Its three callers, ``harness``, ``witnesses`` and ``cli``,
-each apply one in the same way, as ``globals()[name](g, param)``: through
-their own module global of that name, looked up at call time, because
-that is the attribute a tracer rebinds when it counts the calls made
-from each module.
+its function here: how to read and label its parameter, where G's
+vertices land in H, and how many ints it takes on the command line.
+Every operation, and :func:`superedges`, reads its parameter through its
+row, so a parameter of the wrong shape (a bool or a float where an int
+belongs, say) raises ValueError naming the shape, whoever calls it; the
+operation itself then validates the parameter against G.  The table
+holds no function that applies an operation.  Its three callers,
+``harness``, ``witnesses`` and ``cli``, each apply one in the same way,
+as ``globals()[name](g, param)``: through their own module global of
+that name, looked up at call time, because that is the attribute a
+tracer rebinds when it counts the calls made from each module.
 """
 
 from __future__ import annotations
@@ -97,7 +100,9 @@ def remove_vertex(g: Graph, v: int) -> Graph:
     """Delete v and all incident edges; remaining ids compact downward."""
     v = _read("remove_vertex", v)
     require_removable(g, v)
-    return _delete(g.adj, v)
+    h = _delete(g.adj, v)
+    h._made = ("remove_vertex", g, v)
+    return h
 
 
 def remove_edge(g: Graph, e: tuple[int, int]) -> Graph:
@@ -108,7 +113,9 @@ def remove_edge(g: Graph, e: tuple[int, int]) -> Graph:
     masks = list(g.adj)
     masks[u] &= ~(1 << v)
     masks[v] &= ~(1 << u)
-    return Graph._derived(g.n, masks)
+    h = Graph._derived(g.n, masks)
+    h._made = ("remove_edge", g, e)
+    return h
 
 
 def _contract(g: Graph, u: int, v: int) -> Graph:
@@ -125,14 +132,18 @@ def contract_edge(g: Graph, e: tuple[int, int]) -> Graph:
     """Contract an edge; parallels collapse and no loop appears."""
     e = _read("contract_edge", e)
     require_contractible_edge(g, e)
-    return _contract(g, *e)
+    h = _contract(g, *e)
+    h._made = ("contract_edge", g, e)
+    return h
 
 
 def contract_vertices(g: Graph, pair: tuple[int, int]) -> Graph:
     """Merge a non-adjacent vertex pair into one vertex."""
     pair = _read("contract_vertices", pair)
     require_contractible_pair(g, pair)
-    return _contract(g, *pair)
+    h = _contract(g, *pair)
+    h._made = ("contract_vertices", g, pair)
+    return h
 
 
 def superedges(g: Graph, k: int) -> dict[tuple[int, int], tuple[int, ...]]:
@@ -160,7 +171,9 @@ def subdivide(g: Graph, k: int) -> Graph:
         for a, b in zip(path, path[1:]):
             masks[a] |= 1 << b
             masks[b] |= 1 << a
-    return Graph._derived(len(masks), masks)
+    h = Graph._derived(len(masks), masks)
+    h._made = ("subdivide", g, k)
+    return h
 
 
 def cycle_extend(g: Graph, c: CycleSpec | Sequence[int]) -> Graph:
@@ -176,7 +189,9 @@ def cycle_extend(g: Graph, c: CycleSpec | Sequence[int]) -> Graph:
         g.adj[w] | (hub_bit if (hub_mask >> w) & 1 else 0) for w in range(g.n)
     ]
     masks.append(hub_mask)
-    return Graph._derived(g.n + 1, masks)
+    h = Graph._derived(g.n + 1, masks)
+    h._made = ("cycle_extend", g, cyc)
+    return h
 
 
 def _read(name: str, param, caller: str | None = None):
@@ -191,6 +206,9 @@ def _read(name: str, param, caller: str | None = None):
 
 # A vertex or a path length is exactly an int: a bool would read as 0 or 1.
 # _read_pair tests type() first, so a plain tuple skips the slow Sequence test.
+# A reader returns an int, a plain tuple or a CycleSpec as itself and makes
+# a new value of anything else, so the parameter an operation records on H
+# is the caller's own object only when that object cannot change afterwards.
 
 
 def _read_int(x) -> int | None:
@@ -201,7 +219,7 @@ def _read_pair(x) -> tuple[int, int] | None:
     if (type(x) is tuple or isinstance(x, Sequence)) and len(x) == 2:
         u, v = x
         if type(u) is type(v) is int:
-            return (u, v)
+            return x if type(x) is tuple else (u, v)
     return None
 
 
@@ -221,46 +239,28 @@ def _same_ids(n: int, param) -> range:
     return range(n)
 
 
-def _one_fewer(g: Graph, param) -> int:
-    return g.n - 1
-
-
 class Operation(NamedTuple):
-    """One operation as its callers name, read and check it."""
+    """One operation as its callers name, read and label it."""
 
     # the parameter as the operation takes it (a pair in the order given),
     # or None when it has the wrong shape; a short cycle raises ValueError
     read: Callable[[Any], Any]
     shape: str  # what ``read`` accepts, as a wrong-shape error names it
     label: Callable[[Any], str]  # a read parameter as reports name it
-    validate: Callable[[Graph, Any], None]  # raise ValueError unless the operation accepts it
     vertex_map: Callable[[int, Any], Sequence]  # (G's order, param) -> G's vertex id -> H's, None if deleted
-    order: Callable[[Graph, Any], int]  # (G, param) -> H's order
     arity: int | None  # ints on the command line; None: any count (a cycle)
 
 
 OPERATIONS = {
-    "remove_vertex": Operation(
-        _read_int, "a vertex (an int)", lambda v: f"v={v}", require_removable, removal_index_map, _one_fewer, 1,
-    ),
-    "remove_edge": Operation(
-        _read_pair, "an edge (two vertex ints)", _edge_label, require_edge, _same_ids, lambda g, e: g.n, 2,
-    ),
-    "contract_edge": Operation(
-        _read_pair, "an edge (two vertex ints)", _edge_label, require_contractible_edge, contraction_index_map,
-        _one_fewer, 2,
-    ),
+    "remove_vertex": Operation(_read_int, "a vertex (an int)", lambda v: f"v={v}", removal_index_map, 1),
+    "remove_edge": Operation(_read_pair, "an edge (two vertex ints)", _edge_label, _same_ids, 2),
+    "contract_edge": Operation(_read_pair, "an edge (two vertex ints)", _edge_label, contraction_index_map, 2),
     "contract_vertices": Operation(
-        _read_pair, "a vertex pair (two vertex ints)", lambda e: f"uv={e[0]}-{e[1]}",
-        require_contractible_pair, contraction_index_map, _one_fewer, 2,
+        _read_pair, "a vertex pair (two vertex ints)", lambda e: f"uv={e[0]}-{e[1]}", contraction_index_map, 2,
     ),
-    "subdivide": Operation(
-        _read_int, "a path length k (an int)", lambda k: f"k={k}", require_path_length, _same_ids,
-        lambda g, k: g.n + g.m * (k - 1), 1,
-    ),
+    "subdivide": Operation(_read_int, "a path length k (an int)", lambda k: f"k={k}", _same_ids, 1),
     "cycle_extend": Operation(
         _read_cycle, "a cycle (a CycleSpec or a sequence of vertex ints)",
-        lambda cyc: "C=" + "-".join(str(v) for v in cyc.vertices), lambda g, cyc: cyc.validate(g), _same_ids,
-        lambda g, cyc: g.n + 1, None,
+        lambda cyc: "C=" + "-".join(str(v) for v in cyc.vertices), _same_ids, None,
     ),
 }

@@ -1,4 +1,5 @@
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -49,6 +50,21 @@ def test_coloring_rejects_empty_and_names_the_first_negative_color():
     for values in ([0, -3, 2, -1], (1, 1, -3, -1), iter([5, -3, -1])):
         with pytest.raises(ValueError, match="^negative color -3 rejected$"):
             Coloring(values)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "a", None, "numpy.int64(0)"])
+def test_coloring_takes_only_int_colors(bad):
+    # each is refused as graph._require_int refuses it for an order: True and
+    # 1.0 would otherwise join color 1's class, and "a" raise a raw TypeError
+    if bad == "numpy.int64(0)":
+        bad = pytest.importorskip("numpy").int64(0)
+    with pytest.raises(ValueError, match="^graph order must be an int"):
+        Graph(bad, [])
+    for values in ([bad], [0, 1, bad], iter((2, bad, 0))):
+        with pytest.raises(ValueError, match=f"^color must be an int, got {re.escape(repr(bad))}$"):
+            Coloring(values)
+    with pytest.raises(ValueError, match="^color must be an int, got True$"):
+        Coloring([True, 0, 1.0, 2])
 
 
 def test_coloring_text_round_trip():

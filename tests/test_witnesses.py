@@ -2,19 +2,22 @@ import hashlib
 
 import pytest
 
-from domchrom import ops
+from domchrom import ops, witnesses
 from domchrom.coloring import Coloring, is_domination_coloring
 from domchrom.graph import (
     CycleSpec,
+    Graph,
     bridges,
     cut_vertices,
     enumerate_connected_graphs,
     enumerate_cycles,
+    from_edges,
     is_connected,
     make_named,
+    parse_graph6,
     to_graph6,
 )
-from domchrom.harness import _SPECS, HarnessConfig, theorem_instances
+from domchrom.harness import _SPECS, HarnessConfig, TheoremCheck, check_theorem, corpus_up_to, theorem_instances
 from domchrom.ops import contract_edge, contract_vertices, cycle_extend, remove_edge, remove_vertex
 from domchrom.solver import chi_dd_exact, chi_dd_oracle
 from domchrom.witnesses import EXTEND_KINDS, WITNESS_KINDS, extend_witness, reduce_witness
@@ -284,8 +287,10 @@ def _base_colorings():
 
 
 def test_witnesses_given_h_match_witnesses_that_build_it():
-    # The harness hands each witness the H it built; a witness that builds
-    # H itself must give the same outcome, and reject the same params.
+    # The harness hands each witness the H it built, which the witness
+    # trusts; the same H without its record (rebuilt through the checked
+    # constructor) is checked, and a witness without h builds H itself.
+    # All three must give the same outcome, and reject the same params.
     config = HarnessConfig()
     base_of = _base_colorings()
 
@@ -299,12 +304,14 @@ def test_witnesses_given_h_match_witnesses_that_build_it():
                         h = getattr(ops, spec.operation)(g, instance)
                     except ValueError:
                         h = g  # no H exists; the params must be rejected before h is used
+                    bare = Graph(h.n, list(h.adj))
                     base = {"G": base_of(g), "H": base_of(h)}
                     for witness, kind in zip((extend_witness, reduce_witness), spec.witnesses):
                         side = WITNESS_KINDS[kind].base
                         built = _result(witness, kind, g, instance, base[side])
                         given = _result(witness, kind, g, instance, base[side], h=h)
-                        assert given == built, (to_graph6(g), theorem, instance, kind)
+                        unrecorded = _result(witness, kind, g, instance, base[side], h=bare)
+                        assert given == built == unrecorded, (to_graph6(g), theorem, instance, kind)
                         compared += 1
             base = Coloring(range(g.n))
             for kind, params in _malformed(g):
@@ -312,6 +319,7 @@ def test_witnesses_given_h_match_witnesses_that_build_it():
                 built = _result(witness, kind, g, params, base)
                 assert isinstance(built, str), (to_graph6(g), kind, params)
                 assert _result(witness, kind, g, params, base, h=g) == built
+                assert _result(witness, kind, g, params, base, h=Graph(g.n, list(g.adj))) == built
     assert compared > 30000
 
 
@@ -372,6 +380,92 @@ def test_a_given_h_of_the_wrong_order_is_refused_before_any_color_is_carried(wit
     base = chi_dd_exact(c5 if WITNESS_KINDS[kind].base == "G" else remove_vertex(c5, 0)).witness
     with pytest.raises(ValueError, match=f"^{message}$"):
         witness(kind, c5, params, base, h=h)
+
+
+@pytest.mark.parametrize(
+    "witness, kind, params, h, message",
+    [
+        # C5 - 0 is the path P4, not C4
+        (extend_witness, "add_vertex", 0, from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]), "remove_vertex"),
+        (reduce_witness, "remove_edge", (0, 1), make_named("star", 4), "remove_edge"),
+        # (0, 2) is no edge of C5, so uncontract compares h with that contraction
+        (reduce_witness, "uncontract", (0, 2), contract_edge(make_named("cycle", 5), (0, 1)), "contract_vertices"),
+    ],
+    ids=["add_vertex", "remove_edge", "uncontract"],
+)
+def test_a_given_h_that_is_not_the_operations_graph_is_refused(witness, kind, params, h, message):
+    c5 = make_named("cycle", 5)
+    base = chi_dd_exact(h if WITNESS_KINDS[kind].base == "H" else c5).witness
+    with pytest.raises(ValueError, match=f"^h is not the graph {message} makes from G$"):
+        witness(kind, c5, params, base, h=h)
+
+
+def _counted_reads(monkeypatch) -> list[str]:
+    """The name of each operation whose parameter reader runs from now on:
+    the checked path reads the parameter, a trusted H does not."""
+    reads = []
+    for name, op in ops.OPERATIONS.items():
+        def read(x, _read=op.read, _name=name):
+            reads.append(_name)
+            return _read(x)
+        monkeypatch.setitem(ops.OPERATIONS, name, op._replace(read=read))
+    return reads
+
+
+def test_only_the_operations_own_record_skips_the_checked_path(monkeypatch):
+    c5 = make_named("cycle", 5)
+    twin = parse_graph6(to_graph6(c5))  # equal to c5, but another G
+    base_g = chi_dd_exact(c5).witness
+    reads = _counted_reads(monkeypatch)
+    for theorem, instance in ((1, 1), (2, (0, 1)), (3, (1, 2)), (4, (0, 2)), (6, CycleSpec((0, 1, 2, 3, 4)))):
+        spec = _SPECS[theorem]
+        h = getattr(ops, spec.operation)(c5, instance)
+        if theorem == 1:
+            equal_params = [True]  # reads as vertex 1 unless refused
+        elif theorem == 6:
+            equal_params = [CycleSpec(instance.vertices), list(instance.vertices)]
+        else:
+            equal_params = [tuple(list(instance)), list(instance)]
+        # another operation that takes the very same params on this G
+        make_other = {1: ops.subdivide, 2: ops.contract_edge, 3: ops.remove_edge}.get(theorem)
+        base = {"G": base_g, "H": chi_dd_exact(h).witness}
+        for witness, kind in zip((extend_witness, reduce_witness), spec.witnesses):
+            b = base[WITNESS_KINDS[kind].base]
+            reads.clear()
+            trusted = witness(kind, c5, instance, b, h=h)
+            assert reads == [], (theorem, kind)
+            assert trusted == witness(kind, c5, instance, b)
+            planted = [(twin, instance, h)] + [(c5, p, h) for p in equal_params]
+            for g, params, given in planted:
+                reads.clear()
+                result = _result(witness, kind, g, params, b, h=given)
+                assert reads[:1] == [WITNESS_KINDS[kind].operation], (theorem, kind, params)
+                assert result == _result(witness, kind, g, params, b), (theorem, kind, params)
+            if make_other is not None:
+                other = make_other(c5, instance)
+                reads.clear()
+                with pytest.raises(ValueError, match=f"makes order {h.n} from G, but h has order {other.n}$"):
+                    witness(kind, c5, instance, b, h=other)
+                assert reads, (theorem, kind)
+
+
+def test_the_harness_hands_each_witness_an_h_it_trusts(monkeypatch):
+    # each H check_theorem builds carries its record: no witness rebuilds it
+    rebuilt = []
+    for name in ("remove_vertex", "remove_edge", "contract_edge", "contract_vertices", "cycle_extend"):
+        def spy(g, param, _op=getattr(witnesses, name)):
+            rebuilt.append(_op.__name__)
+            return _op(g, param)
+        monkeypatch.setattr(witnesses, name, spy)
+    config = HarnessConfig()
+    checks = 0
+    for g in corpus_up_to(4):
+        for theorem in (1, 2, 3, 4, 6):
+            for instance in theorem_instances(theorem, g, config):
+                checks += isinstance(check_theorem(theorem, g, instance, config=config), TheoremCheck)
+    assert checks > 100 and rebuilt == []
+    reduce_witness("remove_vertex", make_named("cycle", 4), 0, Coloring([0, 1, 0, 1]))
+    assert rebuilt == ["remove_vertex"]  # without h, the witness builds H through the spied global
 
 
 def test_hypothesis_errors_come_before_base_errors():
