@@ -8,10 +8,13 @@ vertex.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
 from .graph import Graph, iter_bits
+
+_COLOR = re.compile(r"-?[0-9]+")  # one color of Coloring.to_text, or a negative one
 
 
 class Coloring:
@@ -61,15 +64,21 @@ class Coloring:
     @classmethod
     def from_text(cls, text: str) -> "Coloring":
         """Parse :meth:`to_text` output; an invalid color is named with its
-        offset in ``text`` in UTF-8 bytes."""
+        offset in ``text`` in UTF-8 bytes.
+
+        Each color is ASCII digits, optionally with surrounding whitespace;
+        a leading ``-`` parses, for the constructor to reject as negative.
+        Anything else ``int`` would read (``1_0``, ``+2``, other scripts'
+        digits) is invalid.
+        """
         values = []
         offset = len(text) - len(text.lstrip())  # counted in ``text``, not in its stripped copy
         for piece in text.strip().split(","):
-            try:
-                values.append(int(piece))
-            except ValueError:
+            color = _COLOR.fullmatch(piece.strip())
+            if color is None:
                 where = len(text[:offset].encode("utf-8"))  # whitespace and parsed colors only
-                raise ValueError(f"invalid color {piece!r} (byte offset {where})") from None
+                raise ValueError(f"invalid color {piece!r} (byte offset {where})")
+            values.append(int(color[0]))
             offset += len(piece) + 1
         return cls(values)
 

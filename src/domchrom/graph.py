@@ -106,7 +106,9 @@ class Graph:
     is ``None`` except on an operation's output: there ``ops`` records
     which operation made it, from which G and with which parameter, so a
     witness given that H, that G and that parameter need not check again
-    what the operation checked (see ``witnesses``).
+    what the operation checked (see ``witnesses``).  A pickle holds the
+    order and masks alone and loads through the checked constructor, so
+    no memo and no ``_made`` record travels with it.
     """
 
     __slots__ = ("n", "m", "adj", "closed", "_graph6", "_canonical", "_connected", "_cut_structure", "_made")
@@ -168,6 +170,9 @@ class Graph:
                 out.append((u, base + low.bit_length() - 1))
                 rest ^= low
         return out
+
+    def __reduce__(self) -> tuple[type[Graph], tuple[int, tuple[int, ...]]]:
+        return Graph, (self.n, self.adj)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

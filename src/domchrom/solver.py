@@ -43,11 +43,12 @@ large budget cannot grow it without limit; past the cap a miss is
 scanned again.
 
 The oracle ignores all of that and scans every set partition, by class
-count and then in restricted-growth order.  It judges each partition
+count and then in restricted-growth order, each held as a tuple of class
+bitsets in a table built once per order.  It judges each partition
 through a per-graph table, built once per call, of the vertices that
-dominate each independent vertex subset; the table shares no code with
-the search, and the definitional checker confirms the partition the
-oracle returns.
+dominate each independent vertex subset; neither table shares code with
+the search.  Only the partition the oracle returns becomes a Coloring,
+and the definitional checker confirms it.
 """
 
 from __future__ import annotations
@@ -340,22 +341,26 @@ def chi_dd_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> SolveResult:
 
 
 @lru_cache(maxsize=None)
-def _partition_colorings(n: int) -> tuple[tuple[Coloring, ...], ...]:
-    """Every set partition of 0..n-1 as a Coloring, grouped by class count.
+def _partitions(n: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Every set partition of 0..n-1 as a tuple of class bitsets, grouped
+    by class count.
 
-    Entry k-1 holds the partitions into exactly k blocks, encoded as
-    restricted growth strings, so they are already in dense normal form.
+    Entry k-1 holds the partitions into exactly k blocks in restricted
+    growth order: vertex i joins each open class in turn, then opens the
+    next one, so class j's lowest vertex comes before class j+1's.
     """
-    by_k: list[list[Coloring]] = [[] for _ in range(n)]
-    rgs = [0] * n
+    by_k: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    blocks = [1] + [0] * (n - 1)  # vertex 0 opens class 0; unopened classes stay 0
 
     def rec(i: int, mx: int) -> None:
         if i == n:
-            by_k[mx].append(Coloring(tuple(rgs)))
+            by_k[mx].append(tuple(blocks[: mx + 1]))
             return
+        b = 1 << i
         for c in range(mx + 2):
-            rgs[i] = c
+            blocks[c] |= b
             rec(i + 1, mx if c <= mx else c)
+            blocks[c] ^= b
 
     rec(1, 0)
     return tuple(tuple(group) for group in by_k)
@@ -365,40 +370,41 @@ def _dominator_table(g: Graph) -> list[int]:
     """``dom[S]`` for every vertex subset S (a bitset index): the vertices
     whose closed neighborhood contains S if S is independent, else 0.
 
-    Built by removing the lowest vertex v of S: ``dom[S] = dom[S - v] &
-    N[v]`` when v has no neighbor in S - v, and 0 otherwise.
+    Built by doubling, once per vertex v: the entries of the subsets
+    holding v come after those of the subsets below v, as ``dom[S + v] =
+    dom[S] & N[v]`` when v has no neighbor in S, and 0 otherwise.
     """
     adj = g.adj
     closed = g.closed
     dom = [(1 << g.n) - 1]
-    for s in range(1, 1 << g.n):
-        low = s & -s
-        rest = s ^ low
-        v = low.bit_length() - 1
-        dom.append(0 if adj[v] & rest else dom[rest] & closed[v])
+    for v in range(g.n):
+        a = adj[v]
+        cv = closed[v]
+        dom += [0 if a & s else d & cv for s, d in enumerate(dom)]
     return dom
 
 
 def chi_dd_oracle(g: Graph) -> int:
     """Minimum class count by scanning all set partitions of the vertex set.
 
-    Each partition is judged through :func:`_dominator_table`: every class
-    must be independent and dominated (a nonzero entry) and the union of
-    the entries must be the whole vertex set, so every vertex dominates a
-    class.  The first partition that qualifies is confirmed with
-    ``is_domination_coloring``; a disagreement raises RuntimeError.
-    Shares nothing with the backtracking search beyond that checker,
-    which is what makes it a usable correctness oracle.
+    Each partition's classes are judged through :func:`_dominator_table`:
+    every class must be independent and dominated (a nonzero entry) and
+    the union of the entries must be the whole vertex set, so every vertex
+    dominates a class.  Only the first partition that qualifies becomes a
+    Coloring, which ``is_domination_coloring`` confirms; a disagreement
+    raises RuntimeError.  Shares nothing with the backtracking search
+    beyond that checker, which is what makes it a usable correctness
+    oracle.
     """
     _require_connected(g)
     if g.n > ORACLE_MAX_ORDER:
         raise ValueError(f"oracle guard: supports n <= {ORACLE_MAX_ORDER}, got {g.n}")
     dom = _dominator_table(g)
     full = (1 << g.n) - 1
-    for group in _partition_colorings(g.n):
-        for c in group:
+    for group in _partitions(g.n):
+        for blocks in group:
             cover = 0
-            for members in c.classes:
+            for members in blocks:
                 d = dom[members]
                 if not d:
                     break
@@ -406,6 +412,14 @@ def chi_dd_oracle(g: Graph) -> int:
             else:
                 if cover != full:
                     continue
+                # the restricted growth string: each vertex takes its class index
+                labels = [0] * g.n
+                for i, members in enumerate(blocks):
+                    while members:
+                        low = members & -members
+                        labels[low.bit_length() - 1] = i
+                        members ^= low
+                c = Coloring(labels)
                 ok, diag = is_domination_coloring(g, c)
                 if not ok:
                     raise RuntimeError(

@@ -74,18 +74,28 @@ def test_coloring_text_round_trip():
         Coloring.from_text("0,x,1")
     assert "byte offset 2" in str(exc.value)
     # offsets count UTF-8 bytes of the text as given, leading whitespace
-    # included: U+3000 is a 3-byte space, the Arabic-Indic digit 3 takes 2
+    # included: U+3000 is a 3-byte space
     for text, where in (
         ("  0,x", "'x' (byte offset 4)"),
         ("\t1,2,,3", "'' (byte offset 5)"),
         ("\u3000 0,x", "'x' (byte offset 6)"),
-        ("0,\u0663,x", "'x' (byte offset 5)"),
+        ("0,\u3000 1,x", "'x' (byte offset 8)"),
+        # a color is ASCII digits: int() would also read these
+        ("0,\u0663,x", "'\u0663' (byte offset 2)"),
+        ("\u0663", "'\u0663' (byte offset 0)"),
+        ("1_0", "'1_0' (byte offset 0)"),
+        ("0,+2", "'+2' (byte offset 2)"),
+        ("0,--1", "'--1' (byte offset 2)"),
     ):
         with pytest.raises(ValueError) as exc:
             Coloring.from_text(text)
         assert where in str(exc.value)
+    with pytest.raises(ValueError, match="^negative color -1 rejected$"):
+        Coloring.from_text("0, -1")
     with pytest.raises(ValueError):
         Coloring([-1, 0])
+    for c in (Coloring([0]), Coloring([5, 3, 5, 10]), Coloring(range(12)), Coloring([0, 1] * 6)):
+        assert Coloring.from_text(c.to_text()) == c
 
 
 def test_coloring_pickles_with_and_without_a_judged_memo():

@@ -408,7 +408,8 @@ def test_cut_structure_is_immutable_and_never_memoized_when_disconnected():
 
 
 def test_graph_pickles_with_and_without_memos():
-    # filled memo slots travel with a pickled graph and never affect equality
+    # a pickled graph is its order and masks alone: whether its memo slots
+    # were filled changes neither what loads nor equality
     for g in (make_named("path", 4), make_named("cycle", 5)):
         blank = pickle.loads(pickle.dumps(g))
         filled = (to_graph6(g), canonical_form(g), cut_vertices(g), bridges(g))
@@ -416,6 +417,26 @@ def test_graph_pickles_with_and_without_memos():
         for other in (blank, copy):
             assert other == g and hash(other) == hash(g)
             assert (to_graph6(other), canonical_form(other), cut_vertices(other), bridges(other)) == filled
+
+
+def test_pickled_graph_is_its_order_and_masks():
+    # an operation's output records its G, and that G its own: the record
+    # stays behind, so a graph four removals from C6 pickles like a new one
+    h = make_named("cycle", 6)
+    for _ in range(4):
+        h = remove_vertex(h, 0)
+    assert h._made is not None
+    data = pickle.dumps(h)
+    assert data == pickle.dumps(Graph(h.n, list(h.adj)))
+    copy = pickle.loads(data)
+    assert copy == h and copy._made is None
+
+    class Tampered:
+        def __reduce__(self):
+            return Graph, (2, (0b10, 0))  # 0 sees 1, but 1 does not see 0
+
+    with pytest.raises(ValueError):
+        pickle.loads(pickle.dumps(Tampered()))
 
 
 def test_cut_structure_matches_removal_on_corpus():

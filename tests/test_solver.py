@@ -105,20 +105,32 @@ def _table_corpus():
     for i, g in enumerate(enumerate_connected_graphs(6)):
         if i % 50 == 0:
             yield g
+    yield from _named_7_8()
+
+
+def _named_7_8():
     for n in (7, 8):
         for name in ("path", "cycle", "complete"):
             yield make_named(name, n)
         yield make_named("star", n - 1)  # hub and n - 1 leaves
 
 
-def _table_verdict(dom, c, n):
+def _table_verdict(dom, blocks, n):
     """The oracle's rule: every class has a nonzero entry, and the entries cover V."""
     cover = 0
-    for members in c.classes:
+    for members in blocks:
         if not dom[members]:
             return False
         cover |= dom[members]
     return cover == (1 << n) - 1
+
+
+def _coloring_of(blocks, n):
+    labels = [0] * n
+    for i, members in enumerate(blocks):
+        for v in iter_bits(members):
+            labels[v] = i
+    return Coloring(labels)
 
 
 def test_dominator_table_agrees_with_checker_on_every_partition():
@@ -126,12 +138,63 @@ def test_dominator_table_agrees_with_checker_on_every_partition():
     for g in _table_corpus():
         dom = solver._dominator_table(g)
         assert len(dom) == 1 << g.n
-        for group in solver._partition_colorings(g.n):
-            for c in group:
-                assert _table_verdict(dom, c, g.n) == is_domination_coloring(g, c)[0], (g.adj, c)
+        for group in solver._partitions(g.n):
+            for blocks in group:
+                c = _coloring_of(blocks, g.n)
+                assert c.classes == blocks
+                assert _table_verdict(dom, blocks, g.n) == is_domination_coloring(g, c)[0], (g.adj, blocks)
                 checked += 1
     # (connected graphs x Bell(n)) for n<=5, every 50th n=6 graph, 4 named graphs of order 7 and 8
     assert checked == 1 * 1 + 1 * 2 + 4 * 5 + 38 * 15 + 728 * 52 + 535 * 203 + 4 * (877 + 4140)
+
+
+def _set_partitions(items):
+    """Every partition of ``items`` into blocks, built by placing the first
+    item, in an order unrelated to the oracle's."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for blocks in _set_partitions(rest):
+        yield [[first]] + blocks
+        for i in range(len(blocks)):
+            yield blocks[:i] + [[first] + blocks[i]] + blocks[i + 1 :]
+
+
+def test_partition_table_matches_an_independent_enumerator():
+    stirling = {(0, 0): 1}  # S(n, k): k S(n-1, k) + S(n-1, k-1)
+    for n in range(1, 9):
+        for k in range(n + 1):
+            stirling[n, k] = k * stirling.get((n - 1, k), 0) + stirling.get((n - 1, k - 1), 0)
+        # sorted by class count, then by restricted growth string: class j
+        # is the block whose lowest vertex is j-th lowest
+        expected = sorted(
+            (len(blocks), [next(j for j, block in enumerate(blocks) if v in block) for v in range(n)], blocks)
+            for blocks in (sorted(p, key=min) for p in _set_partitions(list(range(n))))
+        )
+        table = solver._partitions(n)
+        assert [len(group) for group in table] == [stirling[n, k] for k in range(1, n + 1)]
+        flat = [blocks for group in table for blocks in group]
+        assert flat == [tuple(sum(1 << v for v in block) for block in blocks) for _, _, blocks in expected]
+
+
+def test_oracle_builds_one_coloring_per_call(monkeypatch):
+    built = []
+
+    class Counted(Coloring):
+        __slots__ = ()
+
+        def __init__(self, assignment):
+            built.append(1)
+            super().__init__(assignment)
+
+    monkeypatch.setattr(solver, "Coloring", Counted)
+    solver._partitions.cache_clear()
+    for g in _named_7_8():
+        expected = chi_dd_exact(g).chi_dd
+        before = len(built)
+        assert chi_dd_oracle(g) == expected
+        assert len(built) - before == 1, g.adj
 
 
 def test_oracle_confirms_its_answer_with_the_checker(monkeypatch):
@@ -194,10 +257,11 @@ def _first_coloring_in_search_order(g, k):
     enumerates them, that is a domination coloring of g; None if none is."""
     order = solver._search_order(g)
     assignment = [0] * g.n
-    for blocks in solver._partition_colorings(g.n)[k - 1]:
-        # restricted growth string over search positions, moved to g's labels
-        for pos, v in enumerate(order):
-            assignment[v] = blocks.assignment[pos]
+    for blocks in solver._partitions(g.n)[k - 1]:
+        # classes of search positions, moved to g's labels
+        for i, members in enumerate(blocks):
+            for pos in iter_bits(members):
+                assignment[order[pos]] = i
         c = Coloring(assignment)
         if is_domination_coloring(g, c)[0]:
             return set(c.classes)
