@@ -133,8 +133,7 @@ def dominators_of_class(g: Graph, c: Coloring, i: int) -> set[int]:
 def classes_dominated_by(g: Graph, c: Coloring, v: int) -> set[int]:
     """Color indices i with class i inside N[v]: those whose dominator mask
     holds v; ValueError unless ``v`` is an int in 0..n-1."""
-    if type(v) is not int or not 0 <= v < g.n:
-        raise ValueError(f"vertex {v!r} is not an int in 0..{g.n - 1}")
+    g._check_vertex(v)
     return {i for i, d in enumerate(_judge(g, c)[0]) if (d >> v) & 1}
 
 

@@ -52,43 +52,6 @@ def contraction_index_map(n: int, pair: tuple[int, int]) -> tuple[int, ...]:
     return tuple(u if w == v else w - (w > v) for w in range(n))
 
 
-def require_removable(g: Graph, v: int) -> None:
-    """Raise ValueError unless :func:`remove_vertex` accepts ``v``."""
-    if g.n < 2:
-        raise ValueError("cannot remove a vertex from a graph of order 1")
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range for order {g.n}")
-
-
-def require_edge(g: Graph, e: tuple[int, int]) -> None:
-    """Raise ValueError unless ``e`` is an edge of ``g``."""
-    u, v = e
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u},{v}) is not an edge")
-
-
-def require_contractible_edge(g: Graph, e: tuple[int, int]) -> None:
-    """Raise ValueError unless :func:`contract_edge` accepts ``e``."""
-    u, v = e
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u},{v}) is not an edge; use contract_vertices")
-
-
-def require_contractible_pair(g: Graph, pair: tuple[int, int]) -> None:
-    """Raise ValueError unless :func:`contract_vertices` accepts ``pair``."""
-    u, v = pair
-    if u == v:
-        raise ValueError("cannot contract a vertex with itself")
-    if g.has_edge(u, v):
-        raise ValueError(f"({u},{v}) is an edge; use contract_edge")
-
-
-def require_path_length(g: Graph, k: int) -> None:
-    """Raise ValueError unless :func:`subdivide` accepts ``k``."""
-    if k < 1:
-        raise ValueError("path length must be at least 1")
-
-
 def _delete(adj, v: int) -> Graph:
     """Drop vertex v's slot from every other mask, shifting higher ids down."""
     low = (1 << v) - 1
@@ -99,7 +62,10 @@ def _delete(adj, v: int) -> Graph:
 def remove_vertex(g: Graph, v: int) -> Graph:
     """Delete v and all incident edges; remaining ids compact downward."""
     v = _read("remove_vertex", v)
-    require_removable(g, v)
+    if g.n < 2:
+        raise ValueError("cannot remove a vertex from a graph of order 1")
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range for order {g.n}")
     h = _delete(g.adj, v)
     h._made = ("remove_vertex", g, v)
     return h
@@ -108,8 +74,9 @@ def remove_vertex(g: Graph, v: int) -> Graph:
 def remove_edge(g: Graph, e: tuple[int, int]) -> Graph:
     """Delete one edge, keeping every vertex."""
     e = _read("remove_edge", e)
-    require_edge(g, e)
     u, v = e
+    if not g.has_edge(u, v):
+        raise ValueError(f"({u},{v}) is not an edge")
     masks = list(g.adj)
     masks[u] &= ~(1 << v)
     masks[v] &= ~(1 << u)
@@ -131,8 +98,10 @@ def _contract(g: Graph, u: int, v: int) -> Graph:
 def contract_edge(g: Graph, e: tuple[int, int]) -> Graph:
     """Contract an edge; parallels collapse and no loop appears."""
     e = _read("contract_edge", e)
-    require_contractible_edge(g, e)
-    h = _contract(g, *e)
+    u, v = e
+    if not g.has_edge(u, v):
+        raise ValueError(f"({u},{v}) is not an edge; use contract_vertices")
+    h = _contract(g, u, v)
     h._made = ("contract_edge", g, e)
     return h
 
@@ -140,8 +109,12 @@ def contract_edge(g: Graph, e: tuple[int, int]) -> Graph:
 def contract_vertices(g: Graph, pair: tuple[int, int]) -> Graph:
     """Merge a non-adjacent vertex pair into one vertex."""
     pair = _read("contract_vertices", pair)
-    require_contractible_pair(g, pair)
-    h = _contract(g, *pair)
+    u, v = pair
+    if u == v:
+        raise ValueError("cannot contract a vertex with itself")
+    if g.has_edge(u, v):
+        raise ValueError(f"({u},{v}) is an edge; use contract_edge")
+    h = _contract(g, u, v)
     h._made = ("contract_vertices", g, pair)
     return h
 
@@ -154,7 +127,8 @@ def superedges(g: Graph, k: int) -> dict[tuple[int, int], tuple[int, ...]]:
     is deterministic: edge number t gets ids n + t(k-1) .. n + (t+1)(k-1) - 1.
     """
     k = _read("subdivide", k, "superedges")
-    require_path_length(g, k)
+    if k < 1:
+        raise ValueError("path length must be at least 1")
     return {
         (u, v): (u, *range(g.n + t * (k - 1), g.n + (t + 1) * (k - 1)), v)
         for t, (u, v) in enumerate(g.edges())

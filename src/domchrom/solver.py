@@ -60,7 +60,7 @@ from operator import or_
 from typing import NamedTuple
 
 from .coloring import Coloring, is_domination_coloring
-from .graph import Graph, _relabeled, _require_int, is_connected, make_named
+from .graph import Graph, _relabeled, _require_int, is_connected
 
 DEFAULT_BUDGET = 10_000_000
 _PACKING_MEMO_CAP = 1 << 16  # entries one solve's packing memo may hold
@@ -429,13 +429,11 @@ def chi_dd_oracle(g: Graph) -> int:
     raise AssertionError("unreachable: all-singletons always qualifies")
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: True and 2.0 miss the entries of 1 and 2
 def path_chi_dd(k: int) -> int:
-    """Memoized chi_dd of the path on k vertices; P_1 -> 1."""
+    """chi_dd of the path on k vertices, with no search: ceil(3k/5) +
+    [k mod 5 in {0, 3}], except P_3 -> 2.  tests/test_solver.py proves it for
+    every k in ``test_path_chi_dd_closed_form_is_proved_by_a_transfer_matrix``."""
     _require_int(k, "path order")
     if k < 1:
         raise ValueError("path order must be at least 1")
-    result = chi_dd_exact(make_named("path", k))
-    if result.chi_dd is None:
-        raise RuntimeError(f"chi_dd of the path on {k} vertices is undecided: {result.status}")
-    return result.chi_dd
+    return 2 if k == 3 else -(-3 * k // 5) + (k % 5 in (0, 3))

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from domchrom.graph import from_edges, make_named, to_graph6
 from domchrom.ops import contract_edge, contract_vertices
-from domchrom.solver import chi_dd_exact
+from domchrom.solver import chi_dd_exact, path_chi_dd
 
 optimize = pytest.importorskip("scipy.optimize")
 np = pytest.importorskip("numpy")  # a dependency of scipy
@@ -56,17 +56,20 @@ def ilp_chi_dd(g) -> int:
     return round(res.fun)
 
 
-def _agree(g) -> None:
+def _agree(g) -> int:
     solved = chi_dd_exact(g)
     assert solved.status == "exact", to_graph6(g)
     ilp = ilp_chi_dd(g)
     assert solved.chi_dd == ilp, f"{to_graph6(g)}: chi_dd_exact {solved.chi_dd}, ILP {ilp}"
+    return ilp
 
 
 @pytest.mark.parametrize("family", ["path", "cycle"])
 def test_ilp_agrees_on_paths_and_cycles(family):
     for n in range(9, 31):
-        _agree(make_named(family, n))
+        ilp = _agree(make_named(family, n))
+        if family == "path":
+            assert path_chi_dd(n) == ilp, n
 
 
 @pytest.mark.parametrize("s", [2, 3, 4])
