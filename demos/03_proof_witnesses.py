@@ -9,11 +9,13 @@ a construction does not satisfy the definition the outcome is a recorded
 gap finding, not an error.
 """
 
+from itertools import chain
+
 from domchrom import (
     Coloring,
     chi_dd_exact,
     contract_edge,
-    corpus_up_to,
+    enumerate_connected_graphs,
     extend_witness,
     reduce_witness,
     make_named,
@@ -45,7 +47,7 @@ print("== Hunting for a real proof gap (contraction, lower direction) ==")
 # After uncontracting, a class that only the merged vertex dominated can
 # end up dominated by neither restored endpoint.
 found = None
-for g in corpus_up_to(5, n_min=4):
+for g in chain(enumerate_connected_graphs(4), enumerate_connected_graphs(5)):
     for e in g.edges():
         base = chi_dd_exact(contract_edge(g, e)).witness
         out = reduce_witness("uncontract", g, e, base)

@@ -26,12 +26,8 @@ print(f"elapsed: {report.elapsed:.3f}s")
 print()
 print("Reduce-witness gap findings per theorem case:")
 for t in sorted(report.per_theorem):
-    stats = report.per_theorem[t]
-    for case in sorted(stats.reduce_cases):
-        total = stats.reduce_cases[case]
-        gaps = stats.reduce_gaps.get(case, 0)
-        if total:
-            print(f"  theorem {t} {case}: {gaps}/{total} constructions needed repair")
+    for case, runs in report.per_theorem[t].counts()["reduce"].items():
+        print(f"  theorem {t} {case}: {runs['gaps']}/{runs['count']} constructions needed repair")
 for t in sorted(report.per_theorem):
     for example in report.per_theorem[t].gap_examples[:3]:
         print(f"  e.g. theorem {t}: {example}")

@@ -314,8 +314,8 @@ def _cmd_verify(args, stdin, stdout, stderr) -> int:
         raise _UsageError(f"--k-range expects LO,HI with LO <= HI, got {args.k_range!r}")
     # HarnessConfig rejects a configuration that would check nothing
     config = HarnessConfig(
-        theorems=tuple(_parse_ints(args.theorems, "--theorems")),
-        k_values=tuple(range(krange[0], krange[1] + 1)),
+        theorems=_parse_ints(args.theorems, "--theorems"),
+        k_values=range(krange[0], krange[1] + 1),
         cycle_cap=args.cycle_cap,
         subdivided_cap=args.subdivided_cap,
         budget=_resolve_budget(args),

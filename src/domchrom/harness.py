@@ -36,6 +36,7 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Union
 
 from .coloring import Coloring, is_domination_coloring
 from .graph import (
+    GENERATOR_MAX_ORDER,
     Graph,
     _require_int,
     bridges,
@@ -49,6 +50,7 @@ from .graph import (
 )
 from .ops import (  # the operations as well: check_theorem calls them by name
     OPERATIONS,
+    _read,
     contract_edge,
     contract_vertices,
     cycle_extend,
@@ -81,6 +83,9 @@ class HarnessConfig:
     witnesses: bool = True
 
     def __post_init__(self):
+        # any iterable is taken: a range would not serialize, a list not hash
+        object.__setattr__(self, "theorems", tuple(self.theorems))
+        object.__setattr__(self, "k_values", tuple(self.k_values))
         # a bool is an int to isinstance and 2.5 compares like one, so either
         # would run and be reported as given
         for name in ("cycle_cap", "subdivided_cap", "budget", "workers"):
@@ -104,10 +109,8 @@ class HarnessConfig:
         # instances twice.
         if not self.k_values:
             raise ValueError("k_values is empty; theorem 5 would check no subdivision")
-        subdivide_op = OPERATIONS["subdivide"]
         for k in self.k_values:
-            if subdivide_op.read(k) is None:
-                raise ValueError(f"k_values: theorem 5 takes {subdivide_op.shape}, got {k!r}")
+            _read("subdivide", k, "k_values: theorem 5")
         if min(self.k_values) < 2:
             raise ValueError(f"k_values must be at least 2, got {','.join(map(str, self.k_values))}")
         if len(set(self.k_values)) != len(self.k_values):
@@ -307,14 +310,11 @@ def check_theorem(
     config = config or HarnessConfig()
     cache = {} if cache is None else cache
     g6 = to_graph6(g)
-    op = OPERATIONS[spec.operation]
-    shaped = op.read(instance)
-    if shaped is None:
-        raise ValueError(f"theorem {theorem} takes {op.shape}, got {instance!r}")
+    shaped = _read(spec.operation, instance, f"theorem {theorem}")
     if type(shaped) is tuple and shaped[0] > shaped[1]:
         shaped = shaped[::-1]  # a pair is checked and reported smaller vertex first
     instance = shaped
-    label = op.label(instance)
+    label = OPERATIONS[spec.operation].label(instance)
     reason = spec.hypothesis(g, instance, config)
     if reason is not None:
         return SkippedCheck(theorem, g6, label, reason)
@@ -363,47 +363,29 @@ def _check_order(c: TheoremCheck) -> tuple:
 
 @dataclass
 class TheoremStats:
-    """Counts and retained findings of one theorem over a corpus."""
+    """One theorem over a corpus: its checked outcomes tallied, its skips by
+    reason, and the findings a report lists."""
 
-    instances: int = 0
-    holds: int = 0
-    violations: list[TheoremCheck] = field(default_factory=list)
+    # outcome[3:] (chi_before, ..., reduce_case) -> instances with it
+    tally: Counter = field(default_factory=Counter)
     skips: Counter = field(default_factory=Counter)
-    unknowns: int = 0
-    tight_lower: int = 0
-    tight_upper: int = 0
-    extend_validated: int = 0
-    extend_gaps: int = 0
-    reduce_cases: Counter = field(default_factory=Counter)
-    reduce_gaps: Counter = field(default_factory=Counter)
+    violations: list[TheoremCheck] = field(default_factory=list)
     gap_examples: list[tuple[str, str, str]] = field(default_factory=list)
 
     def add(self, outcome: Union[TheoremCheck, SkippedCheck]) -> None:
         if isinstance(outcome, SkippedCheck):
             self.skips[outcome.reason] += 1
-            self.unknowns += outcome.reason == _UNKNOWN
             return
-        self.instances += 1
-        if outcome.holds:
-            self.holds += 1
-        else:
+        self.tally[outcome[3:]] += 1
+        if not outcome.holds:
             self.violations.append(outcome)
-        self.tight_lower += outcome.chi_after == outcome.lower
-        self.tight_upper += outcome.chi_after == outcome.upper
-        if outcome.witness_extend == "validated":
-            self.extend_validated += 1
-        elif outcome.witness_extend is not None:
-            self.extend_gaps += 1
-        if outcome.witness_reduce is not None:
-            self.reduce_cases[outcome.reduce_case] += 1
-            if outcome.witness_reduce == "gap":
-                self.reduce_gaps[outcome.reduce_case] += 1
-                self.gap_examples.append((outcome.reduce_case, outcome.graph6, outcome.instance))
+        if outcome.witness_reduce == "gap":
+            self.gap_examples.append((outcome.reduce_case, outcome.graph6, outcome.instance))
 
     def merge(self, other: TheoremStats) -> None:
         for f in fields(self):
             total = getattr(self, f.name)
-            total += getattr(other, f.name)  # ints add, lists extend, Counters (all positive) sum
+            total += getattr(other, f.name)  # lists extend, Counters (all positive) sum
             setattr(self, f.name, total)
 
     def finalize(self) -> None:
@@ -417,13 +399,34 @@ class TheoremStats:
                 kept.append(item)
         self.gap_examples = kept
 
+    def counts(self) -> dict[str, Any]:
+        """Every count a report prints, each a sum over the tally or the
+        skips, by its name in :data:`SUMMARY_COLUMNS` or the payload;
+        ``reduce`` maps each proof case to its reduce runs and gaps."""
+        c = dict.fromkeys(("instances", "holds", "tight_lower", "tight_upper", "extend_validated", "extend_gaps"), 0)
+        reduce: dict[str, dict[str, int]] = {}
+        for (_, after, lower, upper, holds, ext, red, case), k in self.tally.items():
+            c["instances"] += k
+            c["holds"] += k * holds
+            c["tight_lower"] += k * (after == lower)
+            c["tight_upper"] += k * (after == upper)
+            if ext is not None:
+                c["extend_validated" if ext == "validated" else "extend_gaps"] += k
+            if red is not None:
+                runs = reduce.setdefault(case, {"count": 0, "gaps": 0})
+                runs["count"] += k
+                runs["gaps"] += k * (red == "gap")
+        c["violations"] = c["instances"] - c["holds"]
+        c["skips"] = sum(self.skips.values())
+        c["unknowns"] = self.skips[_UNKNOWN]
+        c["reduce"] = dict(sorted(reduce.items()))
+        c["reduce_gaps"] = sum(runs["gaps"] for runs in reduce.values())
+        return c
+
     def row(self) -> tuple[int, ...]:
         """The values of :data:`SUMMARY_COLUMNS`, in order."""
-        return (
-            self.instances, self.holds, len(self.violations), sum(self.skips.values()),
-            self.unknowns, self.tight_lower, self.tight_upper, self.extend_validated,
-            sum(self.reduce_gaps.values()),
-        )
+        c = self.counts()
+        return tuple(c[name] for name, _, _ in SUMMARY_COLUMNS)
 
 
 @dataclass
@@ -442,7 +445,7 @@ class CorpusReport:
 
     @property
     def unknown_count(self) -> int:
-        return sum(s.unknowns for s in self.per_theorem.values())
+        return sum(s.counts()["unknowns"] for s in self.per_theorem.values())
 
     @property
     def ok(self) -> bool:
@@ -452,25 +455,15 @@ class CorpusReport:
         per_theorem = {}
         for t in sorted(self.per_theorem):
             s = self.per_theorem[t]
-            reduce_stats = {
-                case: {"count": s.reduce_cases[case], "gaps": s.reduce_gaps.get(case, 0)}
-                for case in sorted(s.reduce_cases)
-            }
+            c = s.counts()
             per_theorem[str(t)] = {
-                "instances": s.instances,
-                "holds": s.holds,
-                "violations": len(s.violations),
+                **{k: c[k] for k in ("instances", "holds", "violations", "unknowns", "tight_lower", "tight_upper")},
                 "skips": dict(sorted(s.skips.items())),
-                "unknowns": s.unknowns,
-                "tight_lower": s.tight_lower,
-                "tight_upper": s.tight_upper,
                 "witness": {
-                    "extend_validated": s.extend_validated,
-                    "extend_gaps": s.extend_gaps,
-                    "reduce": reduce_stats,
-                    "gap_examples": [
-                        f"{case} {g6} {inst}" for case, g6, inst in s.gap_examples
-                    ],
+                    "extend_validated": c["extend_validated"],
+                    "extend_gaps": c["extend_gaps"],
+                    "reduce": c["reduce"],
+                    "gap_examples": [f"{case} {g6} {inst}" for case, g6, inst in s.gap_examples],
                 },
             }
         return {
@@ -592,7 +585,10 @@ def run_corpus(
     )
 
 
-def corpus_up_to(n_max: int, n_min: int = 1) -> Iterator[Graph]:
-    """All labeled connected graphs with n_min <= n <= n_max."""
-    for n in range(n_min, n_max + 1):
-        yield from enumerate_connected_graphs(n)
+def corpus_up_to(n_max: int) -> Iterator[Graph]:
+    """All labeled connected graphs with n <= n_max; a bad n_max raises here,
+    not when the graphs below it have been checked."""
+    _require_int(n_max, "n_max")
+    if not 1 <= n_max <= GENERATOR_MAX_ORDER:
+        raise ValueError(f"corpus generator supports 1 <= n <= {GENERATOR_MAX_ORDER}, got {n_max}")
+    return (g for n in range(1, n_max + 1) for g in enumerate_connected_graphs(n))

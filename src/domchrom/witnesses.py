@@ -49,6 +49,7 @@ from .coloring import Coloring, DominationDiagnostic, _judge, is_domination_colo
 from .graph import Graph, bridges, cut_vertices, iter_bits
 from .ops import (  # the operations as well: _operated calls them by name
     OPERATIONS,
+    _read,
     contract_edge,
     contract_vertices,
     cycle_extend,
@@ -176,10 +177,7 @@ REDUCE_KINDS = tuple(kind for kind, w in WITNESS_KINDS.items() if not w.extend)
 def _operated(kind: str, row: WitnessKind, g: Graph, params, h: Graph | None):
     """The checked path: the operation that makes H, ``params`` as it reads
     them, and H built from G with them, which a given ``h`` must equal."""
-    op = OPERATIONS[row.operation]
-    param = op.read(params)
-    if param is None:
-        raise ValueError(f"{kind} takes {op.shape}, got {params!r}")
+    param = _read(row.operation, params, kind)
     name = row.operation
     if row.edge_operation is not None and g.has_edge(*param):
         name = row.edge_operation

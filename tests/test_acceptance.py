@@ -37,12 +37,8 @@ def corpus_by_n():
 def _gap_summary(report) -> str:
     parts = []
     for t in sorted(report.per_theorem):
-        s = report.per_theorem[t]
-        for case in sorted(s.reduce_cases):
-            total = s.reduce_cases[case]
-            gaps = s.reduce_gaps.get(case, 0)
-            if total:
-                parts.append(f"thm{t}/{case}: {gaps}/{total}")
+        for case, runs in report.per_theorem[t].counts()["reduce"].items():
+            parts.append(f"thm{t}/{case}: {runs['gaps']}/{runs['count']}")
     return "reduce gaps " + ", ".join(parts) if parts else "no reduce runs"
 
 
@@ -68,7 +64,7 @@ def test_criterion_1_oracle_equivalence(corpus_by_n):
 def test_criterion_2_removal_theorems(corpus_by_n):
     graphs = [g for n in range(2, 7) for g in corpus_by_n[n]]
     report = run_corpus(graphs, HarnessConfig(theorems=(1, 2)), "connected 2<=n<=6")
-    checked = sum(report.per_theorem[t].instances for t in (1, 2))
+    checked = sum(report.per_theorem[t].counts()["instances"] for t in (1, 2))
     _verdict(
         "2 vertex/edge removal bounds",
         report.violation_count == 0 and report.unknown_count == 0,
@@ -79,7 +75,7 @@ def test_criterion_2_removal_theorems(corpus_by_n):
 def test_criterion_3_contraction_theorems(corpus_by_n):
     graphs = [g for n in range(2, 7) for g in corpus_by_n[n]]
     report = run_corpus(graphs, HarnessConfig(theorems=(3, 4)), "connected 2<=n<=6")
-    checked = sum(report.per_theorem[t].instances for t in (3, 4))
+    checked = sum(report.per_theorem[t].counts()["instances"] for t in (3, 4))
     _verdict(
         "3 contraction bounds",
         report.violation_count == 0 and report.unknown_count == 0,
@@ -96,11 +92,11 @@ def test_criterion_4_subdivision_theorem(corpus_by_n):
         "connected n<=6, m<=6",
     )
     elapsed = time.perf_counter() - start
-    stats = report.per_theorem[5]
+    stats = report.per_theorem[5].counts()
     _verdict(
         "4 subdivision bounds",
         report.violation_count == 0 and report.unknown_count == 0 and elapsed < 600,
-        f"{stats.instances} instances over {len(graphs)} graphs, "
+        f"{stats['instances']} instances over {len(graphs)} graphs, "
         f"{report.violation_count} violations, {elapsed:.1f}s (< 600s)",
     )
 
@@ -108,11 +104,11 @@ def test_criterion_4_subdivision_theorem(corpus_by_n):
 def test_criterion_5_cycle_extension_theorem(corpus_by_n):
     graphs = [g for n in range(3, 7) for g in corpus_by_n[n]]
     report = run_corpus(graphs, HarnessConfig(theorems=(6,), cycle_cap=6), "connected n<=6")
-    stats = report.per_theorem[6]
+    stats = report.per_theorem[6].counts()
     _verdict(
         "5 cycle-extension bounds",
         report.violation_count == 0 and report.unknown_count == 0,
-        f"{stats.instances} cycles, {report.violation_count} violations; "
+        f"{stats['instances']} cycles, {report.violation_count} violations; "
         f"{_gap_summary(report)}",
     )
 
@@ -126,9 +122,9 @@ def test_criterion_6_witnesses(corpus_by_n):
     extend_gaps = 0
     budget_breaches = 0
     for t in (1, 2, 3, 4, 6):
-        s = report.per_theorem[t]
-        extend_total += s.extend_validated + s.extend_gaps
-        extend_gaps += s.extend_gaps
+        c = report.per_theorem[t].counts()
+        extend_total += c["extend_validated"] + c["extend_gaps"]
+        extend_gaps += c["extend_gaps"]
     # validated reduce outcomes respect their budgets by construction;
     # re-verify the arithmetic on one theorem directly
     for g in corpus_by_n[4]:

@@ -131,7 +131,7 @@ def test_solve_cache_solves_each_distinct_graph_once(monkeypatch):
 
     monkeypatch.setattr(harness, "chi_dd_exact", counting)
     report = run_corpus(corpus_up_to(5), HarnessConfig())
-    assert sum(s.instances for s in report.per_theorem.values()) == 18302
+    assert sum(s.counts()["instances"] for s in report.per_theorem.values()) == 18302
     assert len(solves) == len(set(solves)) == 256
 
 
@@ -302,9 +302,10 @@ def test_run_corpus_n3_theorem3_all_hold():
         enumerate_connected_graphs(3), HarnessConfig(theorems=(3,)), "n=3"
     )
     stats = report.per_theorem[3]
+    counts = stats.counts()
     assert report.graphs == 4
-    assert stats.instances == 3 * 2 + 3  # three paths with 2 edges, K_3 with 3
-    assert stats.holds == stats.instances
+    assert counts["instances"] == 3 * 2 + 3  # three paths with 2 edges, K_3 with 3
+    assert counts["holds"] == counts["instances"]
     assert not stats.violations
 
 
@@ -322,7 +323,7 @@ def test_run_corpus_small_all_theorems():
             len(list(theorem_instances(t, g, cfg))) for g in corpus_up_to(4)
         )
         s = report.per_theorem[t]
-        assert s.instances + sum(s.skips.values()) == domain
+        assert s.counts()["instances"] + sum(s.skips.values()) == domain
 
 
 def test_run_corpus_empty_theorem_set():
@@ -387,6 +388,31 @@ def test_harness_config_int_fields_and_witnesses_must_have_their_types():
     assert HarnessConfig(witnesses=False, workers=2, budget=5).budget == 5
 
 
+def test_harness_config_holds_theorems_and_k_values_as_tuples():
+    # a range would not serialize into the payload, and a list would make the
+    # frozen config unhashable
+    expected = HarnessConfig(theorems=(1, 5), k_values=(2, 3))
+    graphs = [make_named("cycle", 4)]
+    payload = run_corpus(graphs, expected).to_json()
+    for theorems, k_values in (([1, 5], range(2, 4)), (range(1, 6, 4), [2, 3]), (iter((1, 5)), (k for k in (2, 3)))):
+        config = HarnessConfig(theorems=theorems, k_values=k_values)
+        assert (config.theorems, config.k_values) == ((1, 5), (2, 3))
+        assert config == expected and hash(config) == hash(expected)
+        assert run_corpus(graphs, config).to_json() == payload
+
+
+def test_corpus_up_to_checks_n_max_when_called():
+    # a generator would find a bad n_max only after yielding every graph below it
+    for n_max in (0, -1, 8):
+        with pytest.raises(ValueError, match=rf"^corpus generator supports 1 <= n <= 7, got {n_max}$"):
+            corpus_up_to(n_max)
+    for n_max in (True, 3.0, "3"):
+        with pytest.raises(ValueError, match=f"^n_max must be an int, got {n_max!r}$"):
+            corpus_up_to(n_max)
+    expected = [g for n in (1, 2, 3, 4) for g in enumerate_connected_graphs(n)]
+    assert list(corpus_up_to(4)) == expected and len(expected) == 1 + 1 + 4 + 38
+
+
 def test_report_determinism():
     cfg = HarnessConfig(theorems=(1, 2, 3))
     first = run_corpus(enumerate_connected_graphs(4), cfg, "n=4")
@@ -420,10 +446,11 @@ def test_unknowns_recorded_as_skips_not_holds():
     cfg = HarnessConfig(theorems=(1,), budget=1)
     report = run_corpus(enumerate_connected_graphs(4), cfg, "n=4 starved")
     stats = report.per_theorem[1]
-    assert stats.unknowns > 0
-    assert report.unknown_count == stats.unknowns
+    counts = stats.counts()
+    assert counts["unknowns"] > 0
+    assert report.unknown_count == counts["unknowns"]
     assert not report.ok
-    assert stats.holds == stats.instances - len(stats.violations)
+    assert counts["holds"] == counts["instances"] - len(stats.violations)
 
 
 def test_budget_starved_solver_never_reports_holds():
@@ -467,7 +494,7 @@ def test_theorem5_outcomes_follow_the_isomorphism_class_under_a_tight_budget():
     graphs = _n5_m6_slice()
     serial = run_corpus(graphs, HarnessConfig(theorems=(5,), budget=1000))
     parallel = run_corpus(graphs, HarnessConfig(theorems=(5,), budget=1000, workers=2))
-    assert serial.per_theorem[5].unknowns > 0
+    assert serial.per_theorem[5].counts()["unknowns"] > 0
     a, b = serial.to_payload(), parallel.to_payload()
     for key in ("per_theorem", "violations", "summary"):
         assert a[key] == b[key]
@@ -509,9 +536,9 @@ def test_tightness_recorded():
     report = run_corpus(
         [make_named("cycle", 4)], HarnessConfig(theorems=(6,)), "C4"
     )
-    stats = report.per_theorem[6]
-    assert stats.instances == 1
-    assert stats.tight_upper == 1  # chi_dd(W_4) = chi_dd(C_4) + 1
+    counts = report.per_theorem[6].counts()
+    assert counts["instances"] == 1
+    assert counts["tight_upper"] == 1  # chi_dd(W_4) = chi_dd(C_4) + 1
 
 
 def test_report_does_not_depend_on_earlier_runs():
