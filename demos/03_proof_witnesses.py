@@ -9,8 +9,6 @@ a construction does not satisfy the definition the outcome is a recorded
 gap finding, not an error.
 """
 
-from itertools import chain
-
 from domchrom import (
     Coloring,
     chi_dd_exact,
@@ -47,7 +45,7 @@ print("== Hunting for a real proof gap (contraction, lower direction) ==")
 # After uncontracting, a class that only the merged vertex dominated can
 # end up dominated by neither restored endpoint.
 found = None
-for g in chain(enumerate_connected_graphs(4), enumerate_connected_graphs(5)):
+for g in (h for n in (4, 5) for h in enumerate_connected_graphs(n)):
     for e in g.edges():
         base = chi_dd_exact(contract_edge(g, e)).witness
         out = reduce_witness("uncontract", g, e, base)
