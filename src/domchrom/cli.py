@@ -13,9 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict
 
-from .coloring import Coloring, is_domination_coloring
+from .coloring import _COLOR, Coloring, is_domination_coloring
 from .graph import (
     GENERATOR_MAX_ORDER,
     Graph,
@@ -45,6 +46,16 @@ class _UsageError(Exception):
     pass
 
 
+def _int(text: str) -> int:
+    """A command-line integer: ASCII digits after an optional ``-``, with
+    surrounding whitespace allowed, as a color reads; ``int`` alone would also
+    read ``1_0``, ``+2`` and other scripts' digits."""
+    number = _COLOR.fullmatch(text.strip())
+    if number is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(number[0])
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="domchrom",
@@ -62,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute chi_dd with a witness coloring")
     add_common(p)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node budget")
+    p.add_argument("--budget", type=_int, default=DEFAULT_BUDGET, help="search node budget")
 
     p = sub.add_parser("check", help="validate a coloring against the definition")
     add_common(p)
@@ -82,20 +93,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify theorem inequalities over a corpus")
     add_common(p, graph_arg=False)
     defaults = HarnessConfig()
-    p.add_argument("--n-max", type=int, help="use all connected graphs up to this order")
+    p.add_argument("--n-max", type=_int, help="use all connected graphs up to this order")
     p.add_argument("--theorems", default=",".join(map(str, defaults.theorems)))
     p.add_argument(
         "--k-range", default=f"{min(defaults.k_values)},{max(defaults.k_values)}",
         help="theorem 5 subdivision lengths LO,HI",
     )
-    p.add_argument("--cycle-cap", type=int, default=defaults.cycle_cap)
-    p.add_argument("--subdivided-cap", type=int, default=defaults.subdivided_cap)
-    p.add_argument("--workers", type=int, default=defaults.workers)
-    p.add_argument("--budget", type=int, default=defaults.budget)
+    p.add_argument("--cycle-cap", type=_int, default=defaults.cycle_cap)
+    p.add_argument("--subdivided-cap", type=_int, default=defaults.subdivided_cap)
+    p.add_argument("--workers", type=_int, default=defaults.workers)
+    p.add_argument("--budget", type=_int, default=defaults.budget)
     p.add_argument("--no-witnesses", action="store_true")
 
     p = sub.add_parser("gen", help="stream all connected graphs of one order")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int)
 
     p = sub.add_parser("oracle", help="brute-force chi_dd over all set partitions")
     add_common(p)
@@ -112,18 +123,13 @@ def _read_graphs(args, stdin) -> list[tuple[str, Graph]]:
     inline = getattr(args, "graph6", None)
     if inline is not None and args.input is not None:
         raise _UsageError("give either an inline graph6 or --input, not both")
-    lines: list[tuple[str, str]] = []
     if inline is not None:
-        lines.append(("arg", inline))
+        lines = [("arg", inline)]
     elif args.input is not None:
-        stream = stdin if args.input == "-" else open(args.input, "r", encoding="ascii")
-        try:
-            for no, raw in enumerate(stream, start=1):
-                if raw.strip():
-                    lines.append((f"line {no}", raw.strip()))
-        finally:
-            if args.input != "-":
-                stream.close()
+        # a file decodes as stdin does in the C locale, so a non-ASCII byte reaches parse_graph6
+        with (nullcontext(stdin) if args.input == "-"
+              else open(args.input, encoding="ascii", errors="surrogateescape")) as stream:
+            lines = [(f"line {no}", raw.strip()) for no, raw in enumerate(stream, start=1) if raw.strip()]
     else:
         raise _UsageError("no graph given; pass a graph6 string or --input")
     out = []
@@ -139,8 +145,8 @@ def _read_graphs(args, stdin) -> list[tuple[str, Graph]]:
 
 def _parse_ints(text: str, what: str) -> list[int]:
     try:
-        return [int(x) for x in text.split(",") if x != ""]
-    except ValueError:
+        return [_int(x) for x in text.split(",") if x != ""]
+    except argparse.ArgumentTypeError:
         raise _UsageError(f"bad {what}: {text!r} (expected comma-separated integers)") from None
 
 

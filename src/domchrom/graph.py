@@ -294,7 +294,10 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error("empty graph6 string", 0)
     for idx, ch in enumerate(s):
         if not 63 <= ord(ch) <= 126:
-            raise Graph6Error(f"byte {ord(ch)!r} outside graph6 range 63..126", idx)
+            # every earlier character is ASCII, so idx counts bytes; name ch's first
+            # UTF-8 byte, or the byte a surrogateescape decode kept as U+DC80..U+DCFF
+            errors = "surrogateescape" if 0xDC80 <= ord(ch) <= 0xDCFF else "surrogatepass"
+            raise Graph6Error(f"byte {ch.encode('utf-8', errors)[0]} outside graph6 range 63..126", idx)
     if s[0] != "~":
         head = 1
         n = ord(s[0]) - 63

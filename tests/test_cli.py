@@ -372,3 +372,58 @@ def test_outputs_are_pure_functions_of_argv():
     a = run_cli(["verify", "--n-max", "3", "--theorems", "1,2", "--format", "json"])
     b = run_cli(["verify", "--n-max", "3", "--theorems", "1,2", "--format", "json"])
     assert a[0] == b[0] and a[1] == b[1]
+
+
+def test_command_line_integers_are_ascii_digits(capsys):
+    # int() alone would read each of these: "1_0" as 10, "+10" as 10 and
+    # other scripts' digits (Arabic-Indic here) as their values
+    for argv, text in (
+        (["apply", "--op", "remove-vertex", "--params", "1_0", C4], "1_0"),
+        (["apply", "--op", "remove-vertex", "--params", "٠", C4], "٠"),
+        (["apply", "--op", "remove-edge", "--params", "0,+1", C4], "0,+1"),
+    ):
+        assert run_cli(argv) == (2, "", f"domchrom: error: bad --params: {text!r} (expected comma-separated integers)\n")
+    for flag, text in (("--theorems", "١"), ("--k-range", "٢,٣")):
+        code, out, err = run_cli(["verify", "--n-max", "3", flag, text])
+        assert (code, out) == (2, "")
+        assert err == f"domchrom: error: bad {flag}: {text!r} (expected comma-separated integers)\n"
+    capsys.readouterr()
+    for argv, option, text in (
+        (["gen", "٣"], "n", "٣"),
+        (["solve", C4, "--budget", "1_0"], "--budget", "1_0"),
+        (["solve", C4, "--budget", "+10"], "--budget", "+10"),
+        (["verify", "--n-max", "٣"], "--n-max", "٣"),
+        (["verify", "--n-max", "3", "--cycle-cap", "1_0"], "--cycle-cap", "1_0"),
+        (["verify", "--n-max", "3", "--subdivided-cap", "１"], "--subdivided-cap", "１"),
+        (["verify", "--n-max", "3", "--workers", "+1"], "--workers", "+1"),
+    ):
+        assert run_cli(argv) == (2, "", "")
+        assert capsys.readouterr().err.endswith(f"error: argument {option}: invalid int value: {text!r}\n")
+    # ASCII digits with surrounding whitespace and a leading - still read
+    code, out, _ = run_cli(["apply", "--op", "remove-vertex", "--params", " 1 ", C4])
+    assert code == 0 and out.startswith("BW\n")
+    assert run_cli(["solve", C4, "--budget", " 10 "])[0] == 0
+    assert run_cli(["verify", "--n-max", "3", "--theorems", "6", "--cycle-cap", "-1"]) == (
+        2, "", "domchrom: error: cycle_cap must be at least 3, got -1\n"
+    )
+
+
+def test_non_ascii_graph6_names_its_first_byte(tmp_path):
+    # U+00E9 is the UTF-8 bytes C3 A9; a byte D9 that a stream decoded with
+    # surrogateescape (stdin in the C locale, --input FILE) holds as U+DCD9
+    path = tmp_path / "bad.g6"
+    for data, byte in ((b"Cl\nC\xd9~\n", 217), (b"Cl\nC\xc3\xa9\n", 195)):
+        path.write_bytes(data)
+        code, out, err = run_cli(["solve", "-i", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"domchrom: error: bad graph6 at line 2: byte {byte} outside graph6 range 63..126 (byte offset 1)\n"
+    for argv, stdin_text, where in (
+        (["solve", "-i", "-"], "C\udcd9~\n", "line 1"),
+        (["solve", "C\udcd9~"], "", "arg"),
+    ):
+        assert run_cli(argv, stdin_text) == (
+            2, "", f"domchrom: error: bad graph6 at {where}: byte 217 outside graph6 range 63..126 (byte offset 1)\n"
+        )
+    assert run_cli(["solve", "Cé"]) == (
+        2, "", "domchrom: error: bad graph6 at arg: byte 195 outside graph6 range 63..126 (byte offset 1)\n"
+    )

@@ -271,6 +271,13 @@ def test_graph6_errors_carry_offsets():
     with pytest.raises(Graph6Error) as exc:
         parse_graph6("A@")  # nonzero padding bits for K_2-complement
     assert exc.value.offset == 1
+    # a non-ASCII offender is named by its first UTF-8 byte, or by the byte a
+    # surrogateescape decode kept; a lone surrogate that no decode makes is
+    # still a Graph6Error
+    for text, byte in (("Cé", 195), ("C\udcd9~", 217), ("C\U0001F600", 240), ("C\ud800", 237)):
+        with pytest.raises(Graph6Error, match=f"^byte {byte} outside graph6 range") as exc:
+            parse_graph6(text)
+        assert exc.value.offset == 1
 
 
 def test_graph6_round_trip_small_corpus():
